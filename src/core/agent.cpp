@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "placement/placement_model.h"
+
 namespace themis {
 namespace {
 
@@ -81,15 +83,16 @@ double Agent::HypotheticalRho(const AppState& app,
 std::vector<JobAssignment> Agent::DistributeToJobs(
     const AppState& app, const std::vector<GpuId>& granted) const {
   std::vector<JobAssignment> out;
-  std::vector<GpuId> pool = granted;
+  // `granted` arrives in materialization order; the view keeps that order
+  // within each machine, as the picks expect.
+  PoolView pool(granted, *topo_);
   for (int j : JobPriorityOrder(app)) {
     if (pool.empty()) break;
     const JobState& job = app.jobs[j];
     const int gang = job.spec.gpus_per_task;
-    int gangs = std::min(job.UnmetGangs(), static_cast<int>(pool.size()) / gang);
+    int gangs = std::min(job.UnmetGangs(), pool.size() / gang);
     if (gangs <= 0) continue;
-    std::vector<GpuId> picked =
-        PickBestPlacedNear(gangs * gang, pool, job.gpus, *topo_);
+    std::vector<GpuId> picked = PickBestPlacedNear(gangs * gang, pool, job.gpus);
     // Trim to whole gangs (PickBestPlacedNear returns what exists).
     const int usable = UsableGpus(job.spec, static_cast<int>(picked.size()));
     picked.resize(usable);
@@ -98,8 +101,7 @@ std::vector<JobAssignment> Agent::DistributeToJobs(
     while (!picked.empty() && !WouldProgress(job.spec, job.gpus, picked, *topo_))
       picked.resize(picked.size() - gang);
     if (picked.empty()) continue;
-    for (GpuId g : picked)
-      pool.erase(std::remove(pool.begin(), pool.end(), g), pool.end());
+    for (GpuId g : picked) pool.Remove(g);
     out.push_back({j, std::move(picked)});
   }
   return out;
@@ -133,7 +135,7 @@ AgentBid Agent::PrepareBid(const AppState& app,
     double rho;
   };
   std::vector<Cut> cuts;
-  std::vector<GpuId> pool = offered;
+  PoolView pool(offered, *topo_);
   std::vector<GpuId> picked_all;
   std::vector<std::vector<GpuId>> hypothetical(app.jobs.size());
   for (std::size_t j = 0; j < app.jobs.size(); ++j)
@@ -149,15 +151,13 @@ AgentBid Agent::PrepareBid(const AppState& app,
       const int cap = std::min(job.parallelism_cap, job.spec.MaxParallelism());
       const int held = static_cast<int>(hypothetical[j].size());
       if (held + gang > cap) continue;
-      if (static_cast<int>(pool.size()) < gang) continue;
-      std::vector<GpuId> inc =
-          PickBestPlacedNear(gang, pool, hypothetical[j], *topo_);
+      if (pool.size() < gang) continue;
+      std::vector<GpuId> inc = PickBestPlacedNear(gang, pool, hypothetical[j]);
       if (static_cast<int>(inc.size()) < gang) continue;
       // Never bid on bundles the job's placement constraint forbids
       // (Sec. 6: their rho would be infinite).
       if (!WouldProgress(job.spec, hypothetical[j], inc, *topo_)) continue;
-      for (GpuId g : inc)
-        pool.erase(std::remove(pool.begin(), pool.end(), g), pool.end());
+      for (GpuId g : inc) pool.Remove(g);
       hypothetical[j].insert(hypothetical[j].end(), inc.begin(), inc.end());
       picked_all.insert(picked_all.end(), inc.begin(), inc.end());
       cuts.push_back({picked_all, SharedRunningTime(app, hypothetical)});

@@ -77,6 +77,10 @@ struct RoundDiagnostics {
   bool auction_ran = false;
   /// Apps offered the pool in the auction (the worst-off 1-f fraction).
   int auction_participants = 0;
+  /// True when the auction's Partial Allocation solve was exact; false when
+  /// its branch-and-bound ran out of PaConfig::max_nodes and fell back to
+  /// greedy plus local search. Meaningful only when auction_ran.
+  bool pa_exact = false;
 };
 
 /// The policy's answer to an offer. Plain data, applied by ApplyGrants.

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
 
 #include "common/parallel.h"
 #include "core/rho_index.h"
+#include "placement/placement_model.h"
 
 namespace themis {
 
@@ -131,6 +132,7 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   ctx.grants().diagnostics.auction_ran = true;
   ctx.grants().diagnostics.auction_participants =
       static_cast<int>(participants.size());
+  ctx.grants().diagnostics.pa_exact = pa.exact;
 
   // Step 5: stage grants. Each winner receives granted[m] GPUs on machine m,
   // preferring the concrete GPUs its own bid row picked. Bids were prepared
@@ -193,9 +195,25 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   return ctx.TakeGrants();
 }
 
-void ThemisPolicy::AllocateLeftovers(
-    SchedulerContext& ctx, const Agent& agent,
-    const std::vector<AppState*>& participants) {
+namespace {
+
+/// Smallest gang among the app's jobs that still want one (INT_MAX when
+/// none does): the app can absorb a leftover gang iff this fits the pool.
+int SmallestWantedGang(const AppState& app) {
+  int smallest = std::numeric_limits<int>::max();
+  for (const JobState& job : app.jobs)
+    if (job.UnmetGangs() > 0)
+      smallest = std::min(smallest, job.spec.gpus_per_task);
+  return smallest;
+}
+
+}  // namespace
+
+void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
+                       const std::vector<AppState*>& participants) {
+  if (ctx.free_pool().empty()) return;
+  const Topology& topo = ctx.topology();
+
   // Participant lookups are O(log P) against a sorted id vector instead of
   // an O(P) find per candidate per iteration.
   std::vector<AppId> participant_ids;
@@ -207,82 +225,80 @@ void ThemisPolicy::AllocateLeftovers(
                               app->id);
   };
 
-  // Per-app machine bitmaps survive across iterations: a candidate's gangs
-  // only change when it wins a grant, so only the winner's entry is
-  // invalidated. The bitmaps feed pure set intersections, so reuse is
-  // result-neutral.
-  std::unordered_map<AppId, std::vector<bool>> machine_cache;
-  auto app_machines = [&](const AppState* app) -> const std::vector<bool>& {
-    auto [it, inserted] = machine_cache.try_emplace(app->id);
-    if (inserted) {
-      it->second.assign(ctx.topology().num_machines(), false);
-      for (const JobState& job : app->jobs)
-        for (GpuId g : job.gpus)
-          it->second[ctx.topology().gpu(g).machine] = true;
-    }
-    return it->second;
+  // From here on only this function's grants shrink the pool, so one view,
+  // kept in step with each grant, serves every pick.
+  PoolView free(ctx.free_pool().ToVector(), topo);
+
+  // An app is anchored when it already holds a GPU on a machine that still
+  // has free ones.
+  auto is_anchored = [&](const AppState* app) {
+    const std::vector<int>& per_machine = ctx.free_per_machine();
+    for (const JobState& job : app->jobs)
+      for (GpuId g : job.gpus)
+        if (per_machine[topo.gpu(g).machine] > 0) return true;
+    return false;
   };
 
-  // Two rounds: first apps that did not participate in the auction (the
+  // Two phases: first apps that did not participate in the auction (the
   // paper's rule — they cannot game leftovers), then, purely for work
   // conservation, anyone with unmet demand.
+  struct Candidate {
+    AppState* app;
+    int gang;  // SmallestWantedGang(*app)
+  };
+  std::vector<Candidate> candidates;
+  std::vector<int> anchored;  // indices into candidates
   for (const bool outsiders_only : {true, false}) {
+    // Candidates absorb at least one whole gang, in app-list order. Within
+    // a phase the pool only shrinks and only the granted app's demand
+    // changes, so candidacy only ever drops: the list is built once and
+    // filtered in place, and stays the list a full rescan would build.
+    candidates.clear();
+    for (AppState* app : ctx.apps())
+      if (!(outsiders_only && is_participant(app)))
+        candidates.push_back({app, SmallestWantedGang(*app)});
+
     bool progress = true;
     while (progress) {
       progress = false;
-      std::vector<GpuId> free = ctx.free_pool().ToVector();
       if (free.empty()) return;
-
-      // Candidates that can absorb at least one whole gang.
-      std::vector<AppState*> candidates;
-      for (AppState* app : ctx.apps()) {
-        if (outsiders_only && is_participant(app)) continue;
-        if (app->UnmetDemand() <= 0) continue;
-        for (int j : app->ActiveJobs()) {
-          const JobState& job = app->jobs[j];
-          if (job.UnmetGangs() > 0 &&
-              job.spec.gpus_per_task <= static_cast<int>(free.size())) {
-            candidates.push_back(app);
-            break;
-          }
-        }
-      }
+      candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                      [&](const Candidate& c) {
+                                        return c.gang > free.size();
+                                      }),
+                       candidates.end());
       if (candidates.empty()) break;
 
       // Paper: "when many such candidate apps exist for a GPU, one of the
       // apps is picked at random"; prefer apps already placed on machines
       // with free GPUs.
-      std::vector<AppState*> anchored;
-      for (AppState* app : candidates) {
-        const std::vector<bool>& on_machines = app_machines(app);
-        for (GpuId g : free)
-          if (on_machines[ctx.topology().gpu(g).machine]) {
-            anchored.push_back(app);
-            break;
-          }
-      }
-      auto& pick_from = anchored.empty() ? candidates : anchored;
-      AppState* app = pick_from[ctx.rng().UniformInt(
-          0, static_cast<int>(pick_from.size()) - 1)];
+      anchored.clear();
+      for (int i = 0; i < static_cast<int>(candidates.size()); ++i)
+        if (is_anchored(candidates[i].app)) anchored.push_back(i);
+      const int pick_count = anchored.empty()
+                                 ? static_cast<int>(candidates.size())
+                                 : static_cast<int>(anchored.size());
+      const int drawn = ctx.rng().UniformInt(0, pick_count - 1);
+      Candidate& chosen = candidates[anchored.empty() ? drawn : anchored[drawn]];
+      AppState* app = chosen.app;
 
       // Give its highest-priority job one gang, placed near its gang.
       for (int j : agent.JobPriorityOrder(*app)) {
         JobState& job = app->jobs[j];
         if (job.UnmetGangs() <= 0) continue;
         const int gang = job.spec.gpus_per_task;
-        std::vector<GpuId> picked =
-            PickBestPlacedNear(gang, free, job.gpus, ctx.topology());
+        std::vector<GpuId> picked = PickBestPlacedNear(gang, free, job.gpus);
         if (static_cast<int>(picked.size()) < gang) continue;
         // Respect placement constraints: a gang the job cannot run on
         // (S = 0) would hold the lease without making progress.
         std::vector<GpuId> combined = job.gpus;
         combined.insert(combined.end(), picked.begin(), picked.end());
         combined.resize(combined.size() - combined.size() % gang);
-        if (combined.empty() ||
-            EffectiveJobRate(job.spec, combined, ctx.topology()) <= 0.0)
+        if (combined.empty() || EffectiveJobRate(job.spec, combined, topo) <= 0.0)
           continue;
         ctx.Grant(*app, job, picked);
-        machine_cache.erase(app->id);  // its gang just grew
+        for (GpuId g : picked) free.Remove(g);
+        chosen.gang = SmallestWantedGang(*app);  // its demand just fell
         progress = true;
         break;
       }

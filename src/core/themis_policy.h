@@ -70,11 +70,16 @@ class ThemisPolicy final : public ISchedulerPolicy {
   const char* name() const override { return "Themis"; }
 
  private:
-  /// Stage 6: hand out whatever is still in the pool after the auction.
-  void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
-                         const std::vector<AppState*>& participants);
-
   ThemisConfig config_;
 };
+
+/// Stage 6 of a Themis round: hand out whatever is still in `ctx`'s pool,
+/// one gang at a time to an app drawn with ctx.rng() — apps outside
+/// `participants` first, then anyone with unmet demand — preferring apps
+/// already placed on machines with free GPUs, each gang placed near the
+/// job's existing GPUs. Stops when the pool is empty or no candidate can
+/// take a gang.
+void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
+                       const std::vector<AppState*>& participants);
 
 }  // namespace themis

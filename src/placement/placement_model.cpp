@@ -1,7 +1,7 @@
 #include "placement/placement_model.h"
 
 #include <algorithm>
-#include <map>
+#include <stdexcept>
 
 namespace themis {
 
@@ -42,128 +42,176 @@ double EffectiveRate(const ModelProfile& model, const std::vector<GpuId>& gpus,
          topo.MinSpeed(gpus);
 }
 
+PoolView::PoolView(const std::vector<GpuId>& gpus, const Topology& topo)
+    : topo_(&topo), gpus_(gpus), size_(static_cast<int>(gpus.size())) {
+  // Machine ids are rack-major and each machine's GPU ids are contiguous, so
+  // a set whose machines never decrease — any ascending set — is already
+  // grouped. Anything else is grouped by a stable sort on machine, which
+  // keeps the input order within each machine.
+  auto machine_of = [&](GpuId g) { return topo.gpu(g).machine; };
+  const bool grouped = std::is_sorted(
+      gpus_.begin(), gpus_.end(),
+      [&](GpuId a, GpuId b) { return machine_of(a) < machine_of(b); });
+  if (!grouped)
+    std::stable_sort(gpus_.begin(), gpus_.end(), [&](GpuId a, GpuId b) {
+      return machine_of(a) < machine_of(b);
+    });
+  for (int i = 0; i < size_; ++i) {
+    const GpuCoord& c = topo.gpu(gpus_[i]);
+    if (groups_.empty() || groups_.back().machine != c.machine)
+      groups_.push_back(
+          {c.machine, c.rack, topo.machine_speed(c.machine), i, 0});
+    ++groups_.back().count;
+    if (racks_.empty() || racks_.back().rack != c.rack)
+      racks_.push_back({c.rack, 0});
+    ++racks_.back().free;
+  }
+}
+
+RackId PoolView::fullest_rack() const {
+  RackId best = 0;
+  int best_free = -1;
+  for (const RackTotal& r : racks_)
+    if (r.free > best_free) {
+      best = r.rack;
+      best_free = r.free;
+    }
+  return best;
+}
+
+void PoolView::Remove(GpuId g) {
+  const GpuCoord& c = topo_->gpu(g);
+  auto grp = std::lower_bound(
+      groups_.begin(), groups_.end(), c.machine,
+      [](const Group& group, MachineId m) { return group.machine < m; });
+  if (grp == groups_.end() || grp->machine != c.machine)
+    throw std::logic_error("PoolView::Remove: GPU not in set");
+  GpuId* first = gpus_.data() + grp->begin;
+  GpuId* last = first + grp->count;
+  GpuId* pos = std::find(first, last, g);
+  if (pos == last) throw std::logic_error("PoolView::Remove: GPU not in set");
+  std::copy(pos + 1, last, pos);
+  --grp->count;
+  auto rack = std::lower_bound(
+      racks_.begin(), racks_.end(), c.rack,
+      [](const RackTotal& r, RackId id) { return r.rack < id; });
+  --rack->free;
+  --size_;
+}
+
 namespace {
 
-// Free GPUs grouped by machine, machines ordered by descending free count so
-// that whole-machine fills come first, with rack as a secondary grouping key
-// and generation speed preferring faster machines at equal locality.
-struct MachineGroup {
-  MachineId machine;
-  RackId rack;
-  double speed;
-  std::vector<GpuId> gpus;  // ascending; ascending slot order by construction
-};
-
-std::vector<MachineGroup> GroupByMachine(const std::vector<GpuId>& free,
-                                         const Topology& topo) {
-  std::map<MachineId, MachineGroup> by_machine;
-  for (GpuId g : free) {
-    const GpuCoord& c = topo.gpu(g);
-    auto& grp = by_machine[c.machine];
-    grp.machine = c.machine;
-    grp.rack = c.rack;
-    grp.speed = topo.machine_speed(c.machine);
-    grp.gpus.push_back(g);
+// Append the GPUs of the listed machines `order` (indices into `pool`) to
+// `picked` until it holds `count`: faster machines first, then more free
+// GPUs, then ascending machine id (list index order is machine id order).
+void FillInOrder(const PoolView& pool, std::vector<int>& order, int count,
+                 std::vector<GpuId>& picked) {
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (pool.speed(a) != pool.speed(b)) return pool.speed(a) > pool.speed(b);
+    if (pool.count(a) != pool.count(b)) return pool.count(a) > pool.count(b);
+    return a < b;
+  });
+  for (int i : order) {
+    const GpuId* gpus = pool.gpus(i);
+    for (int k = 0; k < pool.count(i); ++k) {
+      if (static_cast<int>(picked.size()) == count) return;
+      picked.push_back(gpus[k]);
+    }
   }
-  std::vector<MachineGroup> out;
-  out.reserve(by_machine.size());
-  for (auto& [m, grp] : by_machine) out.push_back(std::move(grp));
-  return out;
+}
+
+// Fill `picked` up to `count` from the pool's machines in locality classes:
+// every machine with free GPUs has a class in [0, num_classes) and lower
+// classes are taken first, each in FillInOrder's order. A class is only
+// sorted when the request reaches it.
+template <typename ClassOf>
+std::vector<GpuId> FillByClass(const PoolView& pool, int count,
+                               int num_classes, ClassOf class_of) {
+  std::vector<GpuId> picked;
+  picked.reserve(std::min(count, pool.size()));
+  std::vector<int> order;
+  order.reserve(pool.num_groups());
+  for (int cls = 0; cls < num_classes; ++cls) {
+    if (static_cast<int>(picked.size()) == count) break;
+    order.clear();
+    for (int i = 0; i < pool.num_groups(); ++i)
+      if (pool.count(i) > 0 && class_of(i) == cls) order.push_back(i);
+    FillInOrder(pool, order, count, picked);
+  }
+  return picked;
 }
 
 }  // namespace
 
-std::vector<GpuId> PickBestPlaced(int count, const std::vector<GpuId>& free,
-                                  const Topology& topo) {
-  std::vector<GpuId> picked;
-  if (count <= 0 || free.empty()) return picked;
-
-  auto groups = GroupByMachine(free, topo);
+std::vector<GpuId> PickBestPlaced(int count, const PoolView& pool) {
+  if (count <= 0 || pool.empty()) return {};
 
   // First preference: a single machine that fits the whole request; among
   // those, the fastest generation first (a whole gang on one machine runs at
   // that machine's speed), then the *tightest* fit to avoid fragmenting big
   // machines. With uniform speeds this is the original tightest-fit rule.
-  const MachineGroup* best_fit = nullptr;
-  for (const auto& g : groups) {
-    if (static_cast<int>(g.gpus.size()) >= count) {
-      if (!best_fit || g.speed > best_fit->speed ||
-          (g.speed == best_fit->speed && g.gpus.size() < best_fit->gpus.size()))
-        best_fit = &g;
-    }
+  int best_fit = -1;
+  for (int i = 0; i < pool.num_groups(); ++i) {
+    if (pool.count(i) < count) continue;
+    if (best_fit < 0 || pool.speed(i) > pool.speed(best_fit) ||
+        (pool.speed(i) == pool.speed(best_fit) &&
+         pool.count(i) < pool.count(best_fit)))
+      best_fit = i;
   }
-  if (best_fit) {
-    picked.assign(best_fit->gpus.begin(), best_fit->gpus.begin() + count);
-    return picked;
-  }
+  if (best_fit >= 0)
+    return std::vector<GpuId>(pool.gpus(best_fit),
+                              pool.gpus(best_fit) + count);
 
   // Otherwise fill machine-by-machine, largest group first, preferring to
-  // stay within the rack that holds the most free GPUs.
-  std::map<RackId, int> rack_free;
-  for (const auto& g : groups) rack_free[g.rack] += static_cast<int>(g.gpus.size());
-  RackId best_rack = groups.front().rack;
-  int best_rack_free = -1;
-  for (const auto& [rack, cnt] : rack_free)
-    if (cnt > best_rack_free) {
-      best_rack = rack;
-      best_rack_free = cnt;
-    }
+  // stay within the rack that holds the most free GPUs. Faster machines
+  // come first at equal locality (no-op on uniform-speed clusters).
+  const RackId best_rack = pool.fullest_rack();
+  return FillByClass(pool, count, 2,
+                     [&](int i) { return pool.rack(i) == best_rack ? 0 : 1; });
+}
 
-  std::stable_sort(groups.begin(), groups.end(),
-                   [&](const MachineGroup& a, const MachineGroup& b) {
-                     const bool ar = a.rack == best_rack;
-                     const bool br = b.rack == best_rack;
-                     if (ar != br) return ar;  // preferred rack first
-                     // Faster machines first at equal locality (no-op on
-                     // uniform-speed clusters).
-                     if (a.speed != b.speed) return a.speed > b.speed;
-                     return a.gpus.size() > b.gpus.size();
-                   });
-  for (const auto& g : groups) {
-    for (GpuId id : g.gpus) {
-      if (static_cast<int>(picked.size()) == count) return picked;
-      picked.push_back(id);
-    }
+std::vector<GpuId> PickBestPlacedNear(int count, const PoolView& pool,
+                                      const std::vector<GpuId>& anchor) {
+  if (count <= 0 || pool.empty()) return {};
+  if (anchor.empty()) return PickBestPlaced(count, pool);
+
+  std::vector<MachineId> anchor_machines;
+  std::vector<RackId> anchor_racks;
+  anchor_machines.reserve(anchor.size());
+  anchor_racks.reserve(anchor.size());
+  for (GpuId g : anchor) {
+    const GpuCoord& c = pool.topology().gpu(g);
+    anchor_machines.push_back(c.machine);
+    anchor_racks.push_back(c.rack);
   }
-  return picked;  // fewer than count available
+  std::sort(anchor_machines.begin(), anchor_machines.end());
+  std::sort(anchor_racks.begin(), anchor_racks.end());
+
+  // Same machine as the anchor first, then same rack, then the rest.
+  // Locality beats speed (the anchor's generation paces the gang anyway);
+  // at equal locality FillInOrder prefers faster machines.
+  return FillByClass(pool, count, 3, [&](int i) {
+    if (std::binary_search(anchor_machines.begin(), anchor_machines.end(),
+                           pool.machine(i)))
+      return 0;
+    if (std::binary_search(anchor_racks.begin(), anchor_racks.end(),
+                           pool.rack(i)))
+      return 1;
+    return 2;
+  });
+}
+
+std::vector<GpuId> PickBestPlaced(int count, const std::vector<GpuId>& free,
+                                  const Topology& topo) {
+  if (count <= 0 || free.empty()) return {};
+  return PickBestPlaced(count, PoolView(free, topo));
 }
 
 std::vector<GpuId> PickBestPlacedNear(int count, const std::vector<GpuId>& free,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo) {
   if (count <= 0 || free.empty()) return {};
-  if (anchor.empty()) return PickBestPlaced(count, free, topo);
-
-  std::map<MachineId, int> anchor_machines;
-  std::map<RackId, int> anchor_racks;
-  for (GpuId g : anchor) {
-    const GpuCoord& c = topo.gpu(g);
-    ++anchor_machines[c.machine];
-    ++anchor_racks[c.rack];
-  }
-
-  auto groups = GroupByMachine(free, topo);
-  std::stable_sort(groups.begin(), groups.end(),
-                   [&](const MachineGroup& a, const MachineGroup& b) {
-                     const bool am = anchor_machines.count(a.machine) > 0;
-                     const bool bm = anchor_machines.count(b.machine) > 0;
-                     if (am != bm) return am;  // same machine as anchor first
-                     const bool ar = anchor_racks.count(a.rack) > 0;
-                     const bool br = anchor_racks.count(b.rack) > 0;
-                     if (ar != br) return ar;  // then same rack
-                     // Locality beats speed (the anchor's generation paces
-                     // the gang anyway); at equal locality prefer faster.
-                     if (a.speed != b.speed) return a.speed > b.speed;
-                     return a.gpus.size() > b.gpus.size();
-                   });
-  std::vector<GpuId> picked;
-  for (const auto& g : groups) {
-    for (GpuId id : g.gpus) {
-      if (static_cast<int>(picked.size()) == count) return picked;
-      picked.push_back(id);
-    }
-  }
-  return picked;
+  return PickBestPlacedNear(count, PoolView(free, topo), anchor);
 }
 
 }  // namespace themis

@@ -240,6 +240,27 @@ FleetResult RunScriptedAgents(const std::string& host, int port,
     }
   };
 
+  // Handle every complete line already buffered in an agent's reader.
+  const auto drain = [&](FleetAgent& a) {
+    std::string line;
+    while (!a.closed && a.reader.NextLine(line)) {
+      if (line.empty()) continue;
+      net::WireMessage msg;
+      try {
+        msg = net::ParseWireMessage(line);
+      } catch (const net::WireError&) {
+        ++result.errors_received;
+        continue;
+      }
+      handle_message(a, msg);
+    }
+  };
+
+  // Frames that arrived in the same recv as an agent's WELCOME (typically
+  // the first OFFER, once the last agent registers) already sit in its
+  // reader; poll would never report them again.
+  for (FleetAgent& a : fleet) drain(a);
+
   std::vector<pollfd> pfds;
   std::vector<FleetAgent*> owners;
   double last_progress_ms = NowMs();
@@ -286,19 +307,7 @@ FleetResult RunScriptedAgents(const std::string& host, int port,
         }
         if (static_cast<std::size_t>(r) < sizeof buf) break;
       }
-      if (a.closed) continue;
-      std::string line;
-      while (!a.closed && a.reader.NextLine(line)) {
-        if (line.empty()) continue;
-        net::WireMessage msg;
-        try {
-          msg = net::ParseWireMessage(line);
-        } catch (const net::WireError&) {
-          ++result.errors_received;
-          continue;
-        }
-        handle_message(a, msg);
-      }
+      drain(a);
     }
   }
 

@@ -244,6 +244,62 @@ TEST(Daemon, SlowAgentCannotStallRoundsAndIsEvicted) {
   EXPECT_LT(st.round_latency_summary.max(), config.bid_timeout_ms + 2000.0);
 }
 
+TEST(ScriptedAgents, AnswersAnOfferThatArrivedWithWelcome) {
+  // A loopback peer plays the ARBITER: it writes WELCOME and the round's
+  // OFFER in one send, so both land in the agent's first recv. The agent
+  // must bid for that round without waiting for more bytes.
+  std::string err;
+  net::UniqueFd listener(net::TcpListen("127.0.0.1", 0, 4, &err));
+  ASSERT_TRUE(listener.valid()) << err;
+  const int port = net::ListenPort(listener.get());
+  const std::vector<server::AgentScript> scripts =
+      Partition(SampleApps(2), 1);
+
+  constexpr std::uint64_t kRound = 1;
+  bool got_bid = false;
+  std::uint64_t bid_round = 0;
+  std::thread peer([&] {
+    pollfd pfd{listener.get(), POLLIN, 0};
+    if (poll(&pfd, 1, 10000) != 1) {
+      ADD_FAILURE() << "no agent connected";
+      return;
+    }
+    RawClient conn;
+    conn.fd.reset(net::TcpAccept(listener.get()));
+    net::WireMessage msg;
+    if (!conn.ReadMessage(&msg) || msg.type != net::MsgType::kHello) {
+      ADD_FAILURE() << "expected HELLO";
+      return;
+    }
+    ResourceOffer offer;
+    offer.round_id = kRound;
+    offer.lease_duration = 20.0;
+    offer.gpus = {0, 1};
+    offer.free_per_machine = {2};
+    offer.machine_speeds = {1.0};
+    if (!conn.SendLine(net::EncodeWelcome(0, {0, 1}) + "\n" +
+                       net::EncodeOffer(offer)))
+      return;
+    // Well inside the fleet's stall limit; a missed buffered OFFER never
+    // produces a BID at all, since nothing else is sent until CLOSE.
+    if (conn.ReadMessage(&msg, /*timeout_ms=*/3000) &&
+        msg.type == net::MsgType::kBid) {
+      got_bid = true;
+      bid_round = msg.round_id;
+    }
+    conn.SendLine(net::EncodeClose("done"));
+  });
+  const server::FleetResult fleet =
+      server::RunScriptedAgents("127.0.0.1", port, scripts);
+  peer.join();
+
+  ASSERT_TRUE(fleet.ok) << fleet.error;
+  EXPECT_TRUE(got_bid);
+  EXPECT_EQ(bid_round, kRound);
+  EXPECT_EQ(fleet.offers_received, 1u);
+  EXPECT_EQ(fleet.agents_closed, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol hardening against misbehaving peers.
 // ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 // Tests for placement/: model profiles, slowdown arithmetic, placement
-// scores, greedy locality-aware GPU picking.
+// scores, greedy locality-aware GPU picking, the machine-grouped PoolView,
+// and a property test of the picks against the map-based oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <stdexcept>
 
 #include "placement/model_profile.h"
 #include "placement/placement_model.h"
+#include "placement_oracle.h"
 
 namespace themis {
 namespace {
@@ -143,6 +149,117 @@ TEST_F(PlacementFixture, PickBestPlacedNearWithEmptyAnchorEqualsPlain) {
   EXPECT_EQ(PickBestPlacedNear(3, free, {}, topo_),
             PickBestPlaced(3, free, topo_));
 }
+
+TEST_F(PlacementFixture, PoolViewGroupsByMachineInInputOrder) {
+  // Unsorted input: machine 1 (GPUs 4-7) appears first, machine 0's GPUs
+  // out of order. Machines list ascending; GPUs keep input order.
+  const PoolView view({6, 1, 4, 0, 9}, topo_);
+  EXPECT_EQ(view.size(), 5);
+  ASSERT_EQ(view.num_groups(), 3);
+  EXPECT_EQ(view.machine(0), 0u);
+  EXPECT_EQ(view.machine(1), 1u);
+  EXPECT_EQ(view.machine(2), 2u);
+  EXPECT_EQ(std::vector<GpuId>(view.gpus(0), view.gpus(0) + view.count(0)),
+            (std::vector<GpuId>{1, 0}));
+  EXPECT_EQ(std::vector<GpuId>(view.gpus(1), view.gpus(1) + view.count(1)),
+            (std::vector<GpuId>{6, 4}));
+  EXPECT_EQ(view.rack(2), 1u);
+  EXPECT_EQ(view.fullest_rack(), 0u);  // 4 free on rack 0, 1 on rack 1
+}
+
+TEST_F(PlacementFixture, PoolViewRemoveKeepsOrderAndListsEmptiedMachines) {
+  PoolView view({6, 1, 4, 5, 9}, topo_);
+  view.Remove(4);
+  EXPECT_EQ(std::vector<GpuId>(view.gpus(1), view.gpus(1) + view.count(1)),
+            (std::vector<GpuId>{6, 5}));
+  view.Remove(9);
+  EXPECT_EQ(view.size(), 3);
+  ASSERT_EQ(view.num_groups(), 3);  // machine 2 stays listed, empty
+  EXPECT_EQ(view.count(2), 0);
+  view.Remove(6);
+  view.Remove(5);
+  EXPECT_EQ(view.fullest_rack(), 0u);
+  EXPECT_EQ(PickBestPlaced(2, view), (std::vector<GpuId>{1}));
+  EXPECT_THROW(view.Remove(5), std::logic_error);  // already gone
+  EXPECT_THROW(view.Remove(12), std::logic_error);  // never in the set
+}
+
+// Production picks vs the oracle over random free sets: ascending and
+// shuffled input (DistributeToJobs passes unsorted sets), random anchors
+// including none, counts from 0 to past the set size, and views that had
+// GPUs removed.
+class PlacementOracleTest : public ::testing::TestWithParam<int> {
+ protected:
+  static ClusterSpec Spec(int which) {
+    switch (which) {
+      case 0: return ClusterSpec::Simulation256();
+      case 1: return ClusterSpec::Simulation256Mixed();
+      default: return ClusterSpec::Uniform(4, 4, 8, 2);  // 8-GPU machines
+    }
+  }
+};
+
+TEST_P(PlacementOracleTest, PicksMatchTheMapBasedOracle) {
+  const Topology topo(Spec(GetParam()));
+  std::mt19937 rng(1234u + static_cast<unsigned>(GetParam()));
+  auto uniform = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double density =
+        std::uniform_real_distribution<double>(0.02, 1.0)(rng);
+    std::vector<GpuId> free;
+    for (int g = 0; g < topo.num_gpus(); ++g)
+      if (std::bernoulli_distribution(density)(rng))
+        free.push_back(static_cast<GpuId>(g));
+    std::vector<GpuId> anchor;
+    if (uniform(0, 3) > 0) {
+      const int n = uniform(1, 8);
+      for (int i = 0; i < n; ++i)
+        anchor.push_back(static_cast<GpuId>(uniform(0, topo.num_gpus() - 1)));
+    }
+    const int count = uniform(0, static_cast<int>(free.size()) + 3);
+
+    for (const bool shuffled : {false, true}) {
+      if (shuffled) std::shuffle(free.begin(), free.end(), rng);
+      ASSERT_EQ(PickBestPlaced(count, free, topo),
+                oracle::PickBestPlaced(count, free, topo))
+          << "trial " << trial << " count " << count;
+      ASSERT_EQ(PickBestPlacedNear(count, free, anchor, topo),
+                oracle::PickBestPlacedNear(count, free, anchor, topo))
+          << "trial " << trial << " count " << count;
+
+      // Remove a random share from a view and from a copy of the vector;
+      // the view must pick what the oracle picks on the shrunk vector.
+      PoolView view(free, topo);
+      std::vector<GpuId> rest = free;
+      const int removals = uniform(0, static_cast<int>(rest.size()));
+      for (int r = 0; r < removals; ++r) {
+        const int at = uniform(0, static_cast<int>(rest.size()) - 1);
+        view.Remove(rest[at]);
+        rest.erase(rest.begin() + at);
+      }
+      ASSERT_EQ(view.size(), static_cast<int>(rest.size()));
+      const int rest_count = uniform(0, static_cast<int>(rest.size()) + 3);
+      ASSERT_EQ(PickBestPlaced(rest_count, view),
+                oracle::PickBestPlaced(rest_count, rest, topo))
+          << "trial " << trial << " after " << removals << " removals";
+      ASSERT_EQ(PickBestPlacedNear(rest_count, view, anchor),
+                oracle::PickBestPlacedNear(rest_count, rest, anchor, topo))
+          << "trial " << trial << " after " << removals << " removals";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, PlacementOracleTest,
+                         ::testing::Values(0, 1, 2),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case 0: return std::string("Simulation256");
+                             case 1: return std::string("Simulation256Mixed");
+                             default: return std::string("Uniform8GpuMachines");
+                           }
+                         });
 
 class SlowdownLevelTest
     : public ::testing::TestWithParam<std::tuple<const char*, LocalityLevel>> {};

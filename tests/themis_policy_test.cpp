@@ -2,9 +2,11 @@
 // knob), auction-driven grants, and work-conserving leftover allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/themis_policy.h"
+#include "placement_oracle.h"
 
 namespace themis {
 namespace {
@@ -39,6 +41,71 @@ std::unique_ptr<AppState> MakeApp(AppId id, Time arrival,
   }
   app->ideal_time = std::max(1e-9, app->spec.IdealRunningTime());
   return app;
+}
+
+/// The leftover stage as a full rescan, the way it was first written: the
+/// pool snapshot, the candidate list and the anchored set are rebuilt from
+/// scratch on every iteration, and picks come from the placement oracle.
+/// AllocateLeftovers must stage exactly these grants.
+void RescanLeftovers(SchedulerContext& ctx, const Agent& agent,
+                     const std::vector<AppState*>& participants) {
+  auto is_participant = [&](const AppState* app) {
+    return std::find(participants.begin(), participants.end(), app) !=
+           participants.end();
+  };
+  const Topology& topo = ctx.topology();
+  for (const bool outsiders_only : {true, false}) {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      const std::vector<GpuId> free = ctx.free_pool().ToVector();
+      if (free.empty()) return;
+      std::vector<AppState*> candidates;
+      for (AppState* app : ctx.apps()) {
+        if (outsiders_only && is_participant(app)) continue;
+        if (app->UnmetDemand() <= 0) continue;
+        for (int j : app->ActiveJobs()) {
+          const JobState& job = app->jobs[j];
+          if (job.UnmetGangs() > 0 &&
+              job.spec.gpus_per_task <= static_cast<int>(free.size())) {
+            candidates.push_back(app);
+            break;
+          }
+        }
+      }
+      if (candidates.empty()) break;
+      std::vector<AppState*> anchored;
+      for (AppState* app : candidates) {
+        bool on_free_machine = false;
+        for (const JobState& job : app->jobs)
+          for (GpuId held : job.gpus)
+            for (GpuId g : free)
+              if (topo.gpu(g).machine == topo.gpu(held).machine)
+                on_free_machine = true;
+        if (on_free_machine) anchored.push_back(app);
+      }
+      auto& pick_from = anchored.empty() ? candidates : anchored;
+      AppState* app = pick_from[ctx.rng().UniformInt(
+          0, static_cast<int>(pick_from.size()) - 1)];
+      for (int j : agent.JobPriorityOrder(*app)) {
+        JobState& job = app->jobs[j];
+        if (job.UnmetGangs() <= 0) continue;
+        const int gang = job.spec.gpus_per_task;
+        std::vector<GpuId> picked =
+            oracle::PickBestPlacedNear(gang, free, job.gpus, topo);
+        if (static_cast<int>(picked.size()) < gang) continue;
+        std::vector<GpuId> combined = job.gpus;
+        combined.insert(combined.end(), picked.begin(), picked.end());
+        combined.resize(combined.size() - combined.size() % gang);
+        if (combined.empty() ||
+            EffectiveJobRate(job.spec, combined, topo) <= 0.0)
+          continue;
+        ctx.Grant(*app, job, picked);
+        progress = true;
+        break;
+      }
+    }
+  }
 }
 
 class ThemisPolicyTest : public ::testing::Test {
@@ -205,6 +272,81 @@ TEST_F(ThemisPolicyTest, DiagnosticsResetEveryRound) {
   EXPECT_EQ(second.diagnostics.granted_gpus, 0);
   EXPECT_FALSE(second.diagnostics.auction_ran);
   EXPECT_TRUE(second.grants.empty());
+}
+
+TEST_F(ThemisPolicyTest, PaExactDiagnosticFollowsTheNodeBudget) {
+  // Every app participates (f = 0) and bids several rows, so the
+  // branch-and-bound needs more than one node to prove its optimum.
+  auto pa_exact = [](std::int64_t max_nodes) {
+    Cluster cluster(ClusterSpec::Uniform(2, 2, 4, 2));
+    std::vector<std::unique_ptr<AppState>> apps;
+    for (AppId i = 0; i < 4; ++i)
+      apps.push_back(MakeApp(i, 0.0, {MakeJobSpec(40.0 + 10.0 * i, 4, 2)}));
+    WorkEstimator est({});
+    Rng rng(7);
+    AppList list;
+    for (auto& a : apps) list.push_back(a.get());
+    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    ThemisConfig cfg;
+    cfg.fairness_knob = 0.0;
+    cfg.pa.max_nodes = max_nodes;
+    ThemisPolicy policy(cfg);
+    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+    EXPECT_TRUE(grants.diagnostics.auction_ran);
+    return grants.diagnostics.pa_exact;
+  };
+  EXPECT_FALSE(pa_exact(1));
+  EXPECT_TRUE(pa_exact(PaConfig{}.max_nodes));
+}
+
+TEST(AllocateLeftovers, CandidateDroppingOutMidPhaseMatchesFullRescan) {
+  // 16 GPUs, 4 free: 8, 9 on machine 2 and 14, 15 on machine 3. Every app
+  // is anchored there. App 1 wants one 4-GPU gang (its 1-GPU job is
+  // satisfied), so it is a candidate only until the first grant to anyone
+  // else shrinks the pool to 3 or fewer; apps 0 and 2 want 1- and 2-GPU
+  // gangs and keep drawing after it drops out. The filtered candidate list
+  // must draw exactly the apps (and stage exactly the grants) a full
+  // rescan does, for every seed.
+  auto run = [](std::uint64_t seed, bool rescan) {
+    Cluster cluster(ClusterSpec::Uniform(2, 2, 4, 2));
+    for (GpuId g = 0; g < 8; ++g) cluster.Allocate(g, 99, 0, 20.0);
+    std::vector<std::unique_ptr<AppState>> apps;
+    apps.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 4, 1)}));
+    apps.push_back(
+        MakeApp(1, 0.0, {MakeJobSpec(40.0, 1, 4), MakeJobSpec(40.0, 1, 1)}));
+    apps.push_back(MakeApp(2, 0.0, {MakeJobSpec(40.0, 2, 2)}));
+    auto hold = [&](AppState& app, int job, std::vector<GpuId> gpus) {
+      for (GpuId g : gpus) cluster.Allocate(g, app.id, job, 20.0);
+      app.jobs[job].gpus = std::move(gpus);
+    };
+    hold(*apps[0], 0, {10});
+    hold(*apps[1], 1, {11});
+    hold(*apps[2], 0, {12, 13});
+    WorkEstimator est({});
+    Rng rng(seed);
+    AppList list;
+    for (auto& a : apps) list.push_back(a.get());
+    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    const Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
+    if (rescan)
+      RescanLeftovers(ctx, agent, {});
+    else
+      AllocateLeftovers(ctx, agent, {});
+    std::vector<std::pair<AppId, std::vector<GpuId>>> staged;
+    for (const Grant& g : ctx.TakeGrants().grants)
+      staged.emplace_back(g.app, g.gpus);
+    return staged;
+  };
+  int dropped_out = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto filtered = run(seed, false);
+    EXPECT_EQ(filtered, run(seed, true)) << "seed " << seed;
+    if (std::none_of(filtered.begin(), filtered.end(),
+                     [](const auto& grant) { return grant.first == 1; }))
+      ++dropped_out;
+  }
+  // Most seeds draw app 0 or 2 first, which is the mid-phase drop-out.
+  EXPECT_GE(dropped_out, 5);
 }
 
 }  // namespace
