@@ -70,27 +70,56 @@ void BM_AgentPrepareBid(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentPrepareBid)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-/// Partial-allocation solve cost vs the number of bidding apps.
-void BM_PartialAllocation(benchmark::State& state) {
-  const int n_apps = static_cast<int>(state.range(0));
+/// Partial-allocation solve cost for `n_apps` bidders over `offered`
+/// GPUs of Simulation256.
+void RunPartialAllocation(benchmark::State& state, int n_apps,
+                          const std::vector<GpuId>& offered) {
   Cluster cluster(ClusterSpec::Simulation256());
   WorkEstimator est({});
   std::vector<std::unique_ptr<AppState>> apps;
-  std::vector<BidTable> tables;
+  std::vector<AgentBid> bids;
   Agent agent(&cluster.topology(), &est, 10.0);
-  std::vector<GpuId> offered;
-  for (GpuId g = 0; g < 128; ++g) offered.push_back(g);
   std::vector<int> offered_vec(cluster.num_machines(), 0);
   for (GpuId g : offered) ++offered_vec[cluster.topology().gpu(g).machine];
   for (int i = 0; i < n_apps; ++i) {
     apps.push_back(BenchApp(static_cast<AppId>(i), 8, 2));
-    tables.push_back(agent.PrepareBid(*apps.back(), offered, 6).table);
+    bids.push_back(agent.PrepareBid(*apps.back(), offered, 6));
   }
+  std::vector<const BidTable*> tables;
+  for (const AgentBid& bid : bids) tables.push_back(&bid.table);
+  std::int64_t nodes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PartialAllocation(tables, offered_vec));
+    const PaResult pa = PartialAllocation(tables, offered_vec);
+    nodes = pa.nodes;
+    benchmark::DoNotOptimize(pa);
   }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+
+/// Partial-allocation solve cost vs the number of bidding apps, over the
+/// first 128 GPUs (whole machines).
+void BM_PartialAllocation(benchmark::State& state) {
+  std::vector<GpuId> offered;
+  for (GpuId g = 0; g < 128; ++g) offered.push_back(g);
+  RunPartialAllocation(state, static_cast<int>(state.range(0)), offered);
 }
 BENCHMARK(BM_PartialAllocation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
+
+/// The daemon-fleet auction shape: 40 (its mean) and 64 bidders over a
+/// fragmented 131-GPU offer — a fixed random half of Simulation256, so most
+/// machines are partly free. For diagnosing the solver; node counts are
+/// reported alongside the time.
+void BM_PartialAllocationFleet(benchmark::State& state) {
+  std::vector<GpuId> all(256);
+  for (GpuId g = 0; g < 256; ++g) all[g] = g;
+  Rng rng(4);
+  rng.Shuffle(all);
+  std::vector<GpuId> offered(all.begin(), all.begin() + 131);
+  std::sort(offered.begin(), offered.end());
+  RunPartialAllocation(state, static_cast<int>(state.range(0)), offered);
+}
+BENCHMARK(BM_PartialAllocationFleet)->Arg(40)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 /// One full ARBITER scheduling pass (probe + offer + auction + leftovers).
 void BM_ThemisSchedulingPass(benchmark::State& state) {

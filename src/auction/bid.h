@@ -9,8 +9,9 @@
 // are kept until the app completes).
 //
 // The mechanism needs a "higher is better" valuation that is homogeneous of
-// degree one; we use V = 1 / rho (see DESIGN.md): scaling an allocation k-fold
-// on the same machines divides rho by k and therefore multiplies V by k.
+// degree one, while rho is "lower is better". This reproduction therefore
+// values a row at V = 1 / rho: scaling an allocation k-fold on the same
+// machines divides rho by k and therefore multiplies V by k.
 #pragma once
 
 #include <string>

@@ -3,10 +3,13 @@
 //
 // Stage 1 (proportional fairness): choose one row per bidding app maximizing
 // the product of valuations Prod_i V_i subject to the per-machine capacity of
-// the offer. The paper solves this with Gurobi; we use a deterministic
-// branch-and-bound over the (small) bid tables seeded by a greedy incumbent,
-// falling back to greedy + pairwise local search when the search space
-// exceeds a node budget (DESIGN.md substitution #3).
+// the offer. The paper solves this with Gurobi; this reproduction substitutes
+// a deterministic branch-and-bound over the (small) bid tables, seeded by a
+// greedy incumbent and falling back to greedy + single-app local search (one
+// app switches rows at a time, the others held fixed) when the search space
+// exceeds a node budget. Each call builds one problem — tables validated, logs
+// and row orders computed, rows stored as their nonzero (machine, count)
+// entries — and runs stage 1 and every stage-2 sub-market on it.
 //
 // Stage 2 (hidden payments / truth-telling): each app i keeps only a fraction
 //     c_i = Prod_{j!=i} V_j(R_pf) / Prod_{j!=i} V_j(R_pf^{-i})
@@ -59,18 +62,16 @@ struct PaResult {
   double log_welfare = 0.0;
   /// True if every per-app subproblem was solved exactly.
   bool exact = true;
+  /// Branch-and-bound nodes over stage 1 plus every hidden-payment
+  /// sub-market (diagnostics).
+  std::int64_t nodes = 0;
 };
 
 /// Run the PA mechanism. `bids` must each validate against `offered`
-/// (ValidateBid); violations throw std::invalid_argument. The pointer form
-/// is the primary entry point — tables stay wherever the caller already
-/// holds them (e.g. inside AgentBid) and are never copied; every pointer
-/// must be non-null and outlive the call. The value form is a convenience
-/// wrapper over it.
+/// (ValidateBid); violations throw std::invalid_argument. Tables stay
+/// wherever the caller already holds them (e.g. inside AgentBid) and are
+/// never copied; every pointer must be non-null and outlive the call.
 PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
-                           const std::vector<int>& offered,
-                           const PaConfig& config = {});
-PaResult PartialAllocation(const std::vector<BidTable>& bids,
                            const std::vector<int>& offered,
                            const PaConfig& config = {});
 
@@ -80,11 +81,10 @@ struct PfSolution {
   std::vector<int> rows;
   double log_welfare = 0.0;
   bool exact = true;
+  /// Branch-and-bound nodes the solve visited.
+  std::int64_t nodes = 0;
 };
 PfSolution SolveProportionalFair(const std::vector<const BidTable*>& bids,
-                                 const std::vector<int>& offered,
-                                 const PaConfig& config = {});
-PfSolution SolveProportionalFair(const std::vector<BidTable>& bids,
                                  const std::vector<int>& offered,
                                  const PaConfig& config = {});
 

@@ -7,6 +7,7 @@
 // as a fifty-app one.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -108,18 +109,20 @@ class P2Quantile {
 /// larger than the capacity, so small runs lose nothing; past the capacity
 /// each element of the stream is retained with equal probability. Backs the
 /// per-app distributions (rho / ACT / placement CDFs) in bounded-memory
-/// metrics mode.
+/// metrics mode. Storage grows with the sample and never past the capacity:
+/// a reservoir over a short stream, and any copy of it, holds only what it
+/// saw.
 template <typename T>
 class Reservoir {
  public:
   explicit Reservoir(std::size_t capacity, std::uint64_t seed = 0x5EEDULL)
-      : capacity_(capacity), rng_(seed) {
-    items_.reserve(capacity);
-  }
+      : capacity_(capacity), rng_(seed) {}
 
   void Add(const T& v) {
     ++seen_;
     if (items_.size() < capacity_) {
+      if (items_.size() == items_.capacity())
+        items_.reserve(std::min(capacity_, 2 * items_.size() + 16));
       items_.push_back(v);
       return;
     }

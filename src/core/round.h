@@ -81,6 +81,12 @@ struct RoundDiagnostics {
   /// its branch-and-bound ran out of PaConfig::max_nodes and fell back to
   /// greedy plus local search. Meaningful only when auction_ran.
   bool pa_exact = false;
+  /// Branch-and-bound nodes the auction's Partial Allocation visited over
+  /// stage 1 and every hidden-payment sub-market (0 without an auction).
+  std::int64_t pa_nodes = 0;
+  /// log of Prod_i V_i at the auction's proportionally fair solution, the
+  /// optimum when pa_exact (0 without an auction).
+  double pa_log_welfare = 0.0;
 };
 
 /// The policy's answer to an offer. Plain data, applied by ApplyGrants.

@@ -133,6 +133,8 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   ctx.grants().diagnostics.auction_participants =
       static_cast<int>(participants.size());
   ctx.grants().diagnostics.pa_exact = pa.exact;
+  ctx.grants().diagnostics.pa_nodes = pa.nodes;
+  ctx.grants().diagnostics.pa_log_welfare = pa.log_welfare;
 
   // Step 5: stage grants. Each winner receives granted[m] GPUs on machine m,
   // preferring the concrete GPUs its own bid row picked. Bids were prepared

@@ -1,5 +1,6 @@
-// Synthetic enterprise-trace generator (substitute for the proprietary trace
-// of Sec. 8.1; see DESIGN.md substitution #2).
+// Synthetic enterprise-trace generator. Substitution: the paper evaluates on
+// a proprietary enterprise trace (Sec. 8.1) that is not public, so this
+// generator draws apps from its published marginals instead.
 //
 // The paper publishes the trace's marginals, which we reproduce:
 //   - hyper-parameter exploration jobs per app: 1..98, median 23

@@ -2,10 +2,14 @@
 // (Pseudocode 2) — proportional fairness, hidden payments, truthfulness.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "auction/partial_allocation.h"
 #include "common/rng.h"
+#include "pa_oracle.h"
 
 namespace themis {
 namespace {
@@ -53,7 +57,7 @@ TEST(BidRow, ValueIsReciprocalRho) {
 }
 
 TEST(PartialAllocation, EmptyBidsLeaveEverything) {
-  const PaResult r = PartialAllocation(std::vector<BidTable>{}, {4, 4});
+  const PaResult r = PartialAllocation(TablePtrs({}), {4, 4});
   EXPECT_TRUE(r.winners.empty());
   EXPECT_EQ(r.leftover, (std::vector<int>{4, 4}));
 }
@@ -62,7 +66,7 @@ TEST(PartialAllocation, SingleBidderAloneKeepsFullBundle) {
   // With no competitors, removing the bidder changes nothing for "others"
   // (empty product), so c = 1 and the whole proportional-fair bundle lands.
   const auto bid = Table(1, {Row({0}, 10.0), Row({4}, 2.5)});
-  const PaResult r = PartialAllocation({bid}, {4});
+  const PaResult r = PartialAllocation(TablePtrs({bid}), {4});
   ASSERT_EQ(r.winners.size(), 1u);
   EXPECT_EQ(r.winners[0].row, 1);
   EXPECT_DOUBLE_EQ(r.winners[0].c, 1.0);
@@ -75,7 +79,7 @@ TEST(PartialAllocation, PicksWelfareMaximizingAssignment) {
   // 1.25x: welfare is maximized by giving the machine to A.
   const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
   const auto b = Table(2, {Row({0}, 5.0), Row({4}, 4.0)});
-  const PfSolution pf = SolveProportionalFair({a, b}, {4});
+  const PfSolution pf = SolveProportionalFair(TablePtrs({a, b}), {4});
   EXPECT_EQ(pf.rows, (std::vector<int>{1, 0}));
   EXPECT_TRUE(pf.exact);
 }
@@ -85,7 +89,7 @@ TEST(PartialAllocation, SplitsAcrossMachinesWhenProductPrefersIt) {
   // gains nothing more from the second: product prefers one each.
   const auto a = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0), Row({2, 2}, 3.9)});
   const auto b = Table(2, {Row({0, 0}, 8.0), Row({0, 2}, 4.0), Row({2, 2}, 3.9)});
-  const PfSolution pf = SolveProportionalFair({a, b}, {2, 2});
+  const PfSolution pf = SolveProportionalFair(TablePtrs({a, b}), {2, 2});
   EXPECT_EQ(pf.rows, (std::vector<int>{1, 1}));
 }
 
@@ -94,7 +98,7 @@ TEST(PartialAllocation, HiddenPaymentShrinksContestedGrants) {
   // pays a hidden payment (c < 1), so part of the machine is left over.
   const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
   const auto b = Table(2, {Row({0}, 8.0), Row({4}, 2.0)});
-  const PaResult r = PartialAllocation({a, b}, {4});
+  const PaResult r = PartialAllocation(TablePtrs({a, b}), {4});
   int granted_total = 0;
   for (const PaWinner& w : r.winners) {
     EXPECT_LE(w.c, 1.0);
@@ -109,7 +113,7 @@ TEST(PartialAllocation, UncontestedBiddersKeepEverything) {
   // Disjoint interests: no competition, c = 1 for both, zero leftover.
   const auto a = Table(1, {Row({0, 0}, 8.0), Row({4, 0}, 2.0)});
   const auto b = Table(2, {Row({0, 0}, 8.0), Row({0, 4}, 2.0)});
-  const PaResult r = PartialAllocation({a, b}, {4, 4});
+  const PaResult r = PartialAllocation(TablePtrs({a, b}), {4, 4});
   for (const PaWinner& w : r.winners) EXPECT_NEAR(w.c, 1.0, 1e-9);
   EXPECT_EQ(r.leftover, (std::vector<int>{0, 0}));
 }
@@ -118,7 +122,7 @@ TEST(PartialAllocation, ZeroRowWinnersGetNothing) {
   // B's gain is negligible; A's is big. B should win nothing and keep c=1.
   const auto a = Table(1, {Row({0}, 100.0), Row({4}, 1.0)});
   const auto b = Table(2, {Row({0}, 2.0), Row({4}, 1.9)});
-  const PaResult r = PartialAllocation({a, b}, {4});
+  const PaResult r = PartialAllocation(TablePtrs({a, b}), {4});
   EXPECT_EQ(r.winners[0].row, 1);
   EXPECT_EQ(r.winners[1].row, 0);
   EXPECT_EQ(r.winners[1].granted, (std::vector<int>{0}));
@@ -148,7 +152,7 @@ TEST(PartialAllocation, GrantsNeverExceedOffer) {
       }
       bids.push_back(std::move(t));
     }
-    const PaResult result = PartialAllocation(bids, offered);
+    const PaResult result = PartialAllocation(TablePtrs(bids), offered);
     std::vector<int> used(machines, 0);
     for (const PaWinner& w : result.winners) {
       EXPECT_GE(w.c, 0.0);
@@ -175,8 +179,8 @@ TEST(PartialAllocation, TruthTellingBeatsExaggerationForTheLiar) {
   const auto b_honest = Table(2, {Row({0}, 10.0), Row({4}, 2.5)});
   const auto b_liar = Table(2, {Row({0}, 10.0), Row({4}, 0.1)});
 
-  const PaResult honest = PartialAllocation({a, b_honest}, {4});
-  const PaResult lying = PartialAllocation({a, b_liar}, {4});
+  const PaResult honest = PartialAllocation(TablePtrs({a, b_honest}), {4});
+  const PaResult lying = PartialAllocation(TablePtrs({a, b_liar}), {4});
 
   // Identical bids: symmetric welfare; exaggeration flips the win to B...
   EXPECT_EQ(lying.winners[1].row, 1);
@@ -207,7 +211,7 @@ TEST(PartialAllocation, LeftoverBoundedByEFraction) {
       }
       bids.push_back(std::move(t));
     }
-    const PaResult r = PartialAllocation(bids, offered);
+    const PaResult r = PartialAllocation(TablePtrs(bids), offered);
     int leftover = 0;
     const int total = 16;
     for (int m = 0; m < machines; ++m) leftover += r.leftover[m];
@@ -227,7 +231,7 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
   const auto a = Table(1, {Row({0, 0}, 9.0), Row({2, 0}, 5.0), Row({2, 2}, 3.0)});
   const auto b = Table(2, {Row({0, 0}, 7.0), Row({0, 2}, 4.0), Row({2, 2}, 2.5)});
   const std::vector<int> offered{2, 2};
-  const PfSolution pf = SolveProportionalFair({a, b}, offered);
+  const PfSolution pf = SolveProportionalFair(TablePtrs({a, b}), offered);
   const std::vector<BidTable> bids{a, b};
   std::vector<int> used(2, 0);
   for (std::size_t i = 0; i < bids.size(); ++i)
@@ -251,7 +255,7 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
 }
 
 TEST(PartialAllocation, ThrowsOnInvalidBid) {
-  EXPECT_THROW(PartialAllocation({Table(1, {Row({9}, 1.0)})}, {4}),
+  EXPECT_THROW(PartialAllocation(TablePtrs({Table(1, {Row({9}, 1.0)})}), {4}),
                std::invalid_argument);
 }
 
@@ -267,7 +271,7 @@ TEST(PartialAllocation, GreedyFallbackStaysFeasible) {
     t.rows.push_back(Row({0, 2}, 5.0));
     bids.push_back(std::move(t));
   }
-  const PaResult r = PartialAllocation(bids, {4, 4}, cfg);
+  const PaResult r = PartialAllocation(TablePtrs(bids), {4, 4}, cfg);
   EXPECT_FALSE(r.exact);
   std::vector<int> used(2, 0);
   for (const PaWinner& w : r.winners)
@@ -296,10 +300,12 @@ TEST_P(PaScaleTest, ExactAndGreedyAgreeOnWelfareOrBetter) {
   }
   PaConfig exact_cfg;
   exact_cfg.max_nodes = 5'000'000;
-  const PfSolution exact = SolveProportionalFair(bids, offered, exact_cfg);
+  const PfSolution exact =
+      SolveProportionalFair(TablePtrs(bids), offered, exact_cfg);
   PaConfig greedy_cfg;
   greedy_cfg.max_nodes = 0;
-  const PfSolution greedy = SolveProportionalFair(bids, offered, greedy_cfg);
+  const PfSolution greedy =
+      SolveProportionalFair(TablePtrs(bids), offered, greedy_cfg);
   EXPECT_TRUE(exact.exact);
   EXPECT_GE(exact.log_welfare, greedy.log_welfare - 1e-9);
   // Greedy + local search is only the over-budget fallback; it should land
@@ -317,7 +323,7 @@ TEST(PartialAllocation, HiddenPaymentsOffGrantsFullRows) {
   const auto b = Table(2, {Row({0}, 8.0), Row({4}, 2.0)});
   PaConfig cfg;
   cfg.hidden_payments = false;
-  const PaResult r = PartialAllocation({a, b}, {4}, cfg);
+  const PaResult r = PartialAllocation(TablePtrs({a, b}), {4}, cfg);
   int granted = 0;
   for (const PaWinner& w : r.winners) {
     EXPECT_DOUBLE_EQ(w.c, 1.0);
@@ -325,6 +331,168 @@ TEST(PartialAllocation, HiddenPaymentsOffGrantsFullRows) {
   }
   EXPECT_EQ(granted, 4);  // the whole machine is handed out
   EXPECT_EQ(r.leftover[0], 0);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle property test: the production solver (one sparse problem shared by
+// stage 1 and every hidden-payment sub-market) against the original dense
+// solver in pa_oracle.h, field by field and bitwise on the doubles.
+// ---------------------------------------------------------------------------
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+enum class Shape { kDense, kSparse, kZeroOnly };
+
+/// A random valid market: `n` bidders with 1-7 rows each over `offered`.
+/// Rows are dense (every machine drawn), sparse (1-3 machines) or, for
+/// zero-only tables, all zero. Valuations come from a coarse grid so that
+/// equal-value rows within and across tables are common, and some bidders
+/// copy an earlier bidder's table outright.
+std::vector<BidTable> RandomMarket(Rng& rng, int n, Shape shape,
+                                   const std::vector<int>& offered) {
+  const int dims = static_cast<int>(offered.size());
+  std::vector<BidTable> bids;
+  for (int i = 0; i < n; ++i) {
+    if (!bids.empty() && rng.UniformInt(0, 5) == 0) {
+      BidTable copy = bids[rng.UniformInt(0, static_cast<int>(bids.size()) - 1)];
+      copy.app = static_cast<AppId>(i);
+      bids.push_back(std::move(copy));
+      continue;
+    }
+    const double rho0 = 2.0 * rng.UniformInt(1, 8);
+    BidTable t = Table(static_cast<AppId>(i),
+                       {Row(std::vector<int>(dims, 0), rho0)});
+    const int extra = rng.UniformInt(0, 6);
+    for (int r = 0; r < extra; ++r) {
+      std::vector<int> ask(dims, 0);
+      if (shape == Shape::kDense) {
+        for (int m = 0; m < dims; ++m) ask[m] = rng.UniformInt(0, offered[m]);
+      } else if (shape == Shape::kSparse) {
+        const int touched = rng.UniformInt(1, 3);
+        for (int k = 0; k < touched; ++k) {
+          const int m = rng.UniformInt(0, dims - 1);
+          ask[m] = rng.UniformInt(0, offered[m]);
+        }
+      }
+      int total = 0;
+      for (int g : ask) total += g;
+      // Zero rows repeat the current rho; others improve it on a coarse
+      // grid (ties within and across tables).
+      const double rho = total == 0 ? rho0 : rho0 / rng.UniformInt(1, 4);
+      t.rows.push_back(Row(std::move(ask), rho));
+    }
+    bids.push_back(std::move(t));
+  }
+  return bids;
+}
+
+void ExpectSamePf(const PfSolution& got, const PfSolution& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(Bits(got.log_welfare), Bits(want.log_welfare));
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.nodes, want.nodes);
+}
+
+void ExpectSamePa(const PaResult& got, const PaResult& want) {
+  ASSERT_EQ(got.winners.size(), want.winners.size());
+  for (std::size_t i = 0; i < got.winners.size(); ++i) {
+    SCOPED_TRACE("winner " + std::to_string(i));
+    EXPECT_EQ(got.winners[i].app, want.winners[i].app);
+    EXPECT_EQ(got.winners[i].row, want.winners[i].row);
+    EXPECT_EQ(Bits(got.winners[i].c), Bits(want.winners[i].c));
+    EXPECT_EQ(got.winners[i].granted, want.winners[i].granted);
+  }
+  EXPECT_EQ(got.leftover, want.leftover);
+  EXPECT_EQ(Bits(got.log_welfare), Bits(want.log_welfare));
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.nodes, want.nodes);
+}
+
+TEST(PartialAllocationOracle, MatchesDenseSolverOnRandomMarkets) {
+  Rng rng(2024);
+  int inexact = 0;
+  int contested = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Shape shape = static_cast<Shape>(rng.UniformInt(0, 2));
+    const int dims = rng.UniformInt(1, 88);
+    std::vector<int> offered(dims);
+    for (int& o : offered) o = rng.UniformInt(0, 8);
+    PaConfig cfg;
+    switch (rng.UniformInt(0, 2)) {
+      case 0: cfg.max_nodes = 1; break;
+      case 1: cfg.max_nodes = rng.UniformInt(2, 300); break;
+      default: break;  // the default budget
+    }
+    cfg.hidden_payments = rng.UniformInt(0, 4) != 0;
+    // Large markets under the default budget run the dense oracle to
+    // exhaustion once per sub-market; keep those to a size the suite
+    // affords under sanitizers.
+    const int max_bidders =
+        cfg.max_nodes == PaConfig{}.max_nodes ? 16 : 48;
+    const std::vector<BidTable> bids =
+        RandomMarket(rng, rng.UniformInt(0, max_bidders), shape, offered);
+    const auto tables = TablePtrs(bids);
+
+    const PaResult got = PartialAllocation(tables, offered, cfg);
+    const PaResult want = oracle::PartialAllocation(tables, offered, cfg);
+    ExpectSamePa(got, want);
+    ExpectSamePf(SolveProportionalFair(tables, offered, cfg),
+                 oracle::SolveProportionalFair(tables, offered, cfg));
+    if (!want.exact) ++inexact;
+    for (const PaWinner& w : want.winners)
+      if (w.c < 1.0) ++contested;
+  }
+  // The sweep must reach both the budget fallback and real hidden payments.
+  EXPECT_GT(inexact, 0);
+  EXPECT_GT(contested, 0);
+}
+
+TEST(PartialAllocationOracle, InvalidBidsThrowLikeTheDenseSolver) {
+  const std::vector<int> offered{4, 4};
+  const BidTable good = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0)});
+  const std::vector<BidTable> bad{
+      Table(2, {}),                                       // no rows
+      Table(2, {Row({1, 0}, 8.0)}),                       // no zero row first
+      Table(2, {Row({0}, 8.0)}),                          // wrong dimensions
+      Table(2, {Row({0, 0}, 8.0), Row({5, 0}, 4.0)}),     // exceeds offer
+      Table(2, {Row({0, 0}, 8.0), Row({-1, 2}, 4.0)}),    // negative GPUs
+      Table(2, {Row({0, 0}, 0.0)}),                       // non-positive rho
+      Table(2, {Row({0, 0}, 4.0), Row({2, 0}, 9.0)}),     // worsening row
+  };
+  for (const BidTable& b : bad) {
+    const std::vector<const BidTable*> tables{&good, &b};
+    EXPECT_THROW(PartialAllocation(tables, offered), std::invalid_argument);
+    EXPECT_THROW(oracle::PartialAllocation(tables, offered),
+                 std::invalid_argument);
+    EXPECT_THROW(SolveProportionalFair(tables, offered), std::invalid_argument);
+  }
+  const std::vector<const BidTable*> with_null{&good, nullptr};
+  EXPECT_THROW(PartialAllocation(with_null, offered), std::invalid_argument);
+  EXPECT_THROW(oracle::PartialAllocation(with_null, offered),
+               std::invalid_argument);
+  EXPECT_THROW(SolveProportionalFair(with_null, offered),
+               std::invalid_argument);
+}
+
+TEST(PartialAllocation, NodesCountStageOneAndEverySubMarket) {
+  // Two bidders contest one machine: stage 1 plus one sub-market per
+  // winner with a nonzero row. With a one-node budget each solve spends
+  // exactly one node.
+  const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
+  const auto b = Table(2, {Row({0}, 8.0), Row({4}, 2.0)});
+  PaConfig cfg;
+  cfg.max_nodes = 1;
+  const PaResult r = PartialAllocation(TablePtrs({a, b}), {4}, cfg);
+  int nonzero_winners = 0;
+  for (const PaWinner& w : r.winners) nonzero_winners += w.row != 0;
+  EXPECT_EQ(nonzero_winners, 1);
+  EXPECT_EQ(r.nodes, 1 + nonzero_winners);
+  EXPECT_FALSE(r.exact);
+  // Hidden payments off: only stage 1 runs.
+  cfg.hidden_payments = false;
+  EXPECT_EQ(PartialAllocation(TablePtrs({a, b}), {4}, cfg).nodes, 1);
+  EXPECT_EQ(PartialAllocation(TablePtrs({}), {4}).nodes, 0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "auction/partial_allocation.h"
 #include "common/rng.h"
+#include "pa_oracle.h"
 #include "sim/experiment.h"
 
 namespace themis {
@@ -114,7 +115,7 @@ TEST_P(PaRandomInstanceTest, MechanismInvariantsHold) {
       bids.push_back(std::move(t));
     }
 
-    const PaResult result = PartialAllocation(bids, offered);
+    const PaResult result = PartialAllocation(TablePtrs(bids), offered);
     ASSERT_EQ(result.winners.size(), bids.size());
 
     std::vector<int> used(machines, 0);
@@ -168,7 +169,7 @@ TEST_P(PaRandomInstanceTest, RemovingABidderNeverHurtsTheOthers) {
 
   PaConfig cfg;
   cfg.max_nodes = 1'000'000;
-  const PfSolution full = SolveProportionalFair(bids, offered, cfg);
+  const PfSolution full = SolveProportionalFair(TablePtrs(bids), offered, cfg);
   for (int drop = 0; drop < n_apps; ++drop) {
     std::vector<BidTable> others;
     double others_log_in_full = 0.0;
@@ -177,7 +178,8 @@ TEST_P(PaRandomInstanceTest, RemovingABidderNeverHurtsTheOthers) {
       others.push_back(bids[i]);
       others_log_in_full += std::log(bids[i].rows[full.rows[i]].Value());
     }
-    const PfSolution without = SolveProportionalFair(others, offered, cfg);
+    const PfSolution without =
+        SolveProportionalFair(TablePtrs(others), offered, cfg);
     EXPECT_GE(without.log_welfare, others_log_in_full - 1e-9);
   }
 }

@@ -88,6 +88,23 @@ TEST(Reservoir, NeverExceedsCapacity) {
   EXPECT_EQ(res.count(), 1000u);
 }
 
+TEST(Reservoir, StorageFollowsTheSampleUpToCapacity) {
+  // A large-capacity reservoir over a short stream (the daemon's round
+  // latencies) holds only what it saw, and a copy of it likewise; a long
+  // stream never grows the storage past the capacity.
+  Reservoir<double> res(8192);
+  EXPECT_EQ(res.items().capacity(), 0u);
+  for (int i = 0; i < 77; ++i) res.Add(static_cast<double>(i));
+  EXPECT_LT(res.items().capacity(), 256u);
+  Reservoir<double> copy(8192);
+  copy = res;
+  EXPECT_LT(copy.items().capacity(), 256u);
+  EXPECT_EQ(copy.items(), res.items());
+  Reservoir<int> small(100, 3);
+  for (int i = 0; i < 1000; ++i) small.Add(i);
+  EXPECT_EQ(small.items().capacity(), 100u);
+}
+
 TEST(Reservoir, DeterministicInSeed) {
   Reservoir<int> a(8, 99), b(8, 99), c(8, 100);
   for (int i = 0; i < 500; ++i) {

@@ -271,32 +271,64 @@ TEST_F(ThemisPolicyTest, DiagnosticsResetEveryRound) {
   EXPECT_EQ(second.diagnostics.offered_gpus, 14);
   EXPECT_EQ(second.diagnostics.granted_gpus, 0);
   EXPECT_FALSE(second.diagnostics.auction_ran);
+  EXPECT_EQ(second.diagnostics.pa_nodes, 0);
+  EXPECT_EQ(second.diagnostics.pa_log_welfare, 0.0);
   EXPECT_TRUE(second.grants.empty());
 }
 
+/// One round over four apps on 16 GPUs. Every app participates (f = 0)
+/// and bids several rows, so the branch-and-bound needs more than one node
+/// to prove its optimum.
+RoundDiagnostics ContestedAuction(const PaConfig& pa) {
+  Cluster cluster(ClusterSpec::Uniform(2, 2, 4, 2));
+  std::vector<std::unique_ptr<AppState>> apps;
+  for (AppId i = 0; i < 4; ++i)
+    apps.push_back(MakeApp(i, 0.0, {MakeJobSpec(40.0 + 10.0 * i, 4, 2)}));
+  WorkEstimator est({});
+  Rng rng(7);
+  AppList list;
+  for (auto& a : apps) list.push_back(a.get());
+  SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+  ThemisConfig cfg;
+  cfg.fairness_knob = 0.0;
+  cfg.pa = pa;
+  ThemisPolicy policy(cfg);
+  const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+  EXPECT_TRUE(grants.diagnostics.auction_ran);
+  EXPECT_EQ(grants.diagnostics.auction_participants, 4);
+  return grants.diagnostics;
+}
+
 TEST_F(ThemisPolicyTest, PaExactDiagnosticFollowsTheNodeBudget) {
-  // Every app participates (f = 0) and bids several rows, so the
-  // branch-and-bound needs more than one node to prove its optimum.
   auto pa_exact = [](std::int64_t max_nodes) {
-    Cluster cluster(ClusterSpec::Uniform(2, 2, 4, 2));
-    std::vector<std::unique_ptr<AppState>> apps;
-    for (AppId i = 0; i < 4; ++i)
-      apps.push_back(MakeApp(i, 0.0, {MakeJobSpec(40.0 + 10.0 * i, 4, 2)}));
-    WorkEstimator est({});
-    Rng rng(7);
-    AppList list;
-    for (auto& a : apps) list.push_back(a.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
-    ThemisConfig cfg;
-    cfg.fairness_knob = 0.0;
-    cfg.pa.max_nodes = max_nodes;
-    ThemisPolicy policy(cfg);
-    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
-    EXPECT_TRUE(grants.diagnostics.auction_ran);
-    return grants.diagnostics.pa_exact;
+    PaConfig pa;
+    pa.max_nodes = max_nodes;
+    return ContestedAuction(pa).pa_exact;
   };
   EXPECT_FALSE(pa_exact(1));
   EXPECT_TRUE(pa_exact(PaConfig{}.max_nodes));
+}
+
+TEST_F(ThemisPolicyTest, PaNodesAndWelfareReachTheRound) {
+  PaConfig one_node;
+  one_node.max_nodes = 1;
+  // A one-node budget spends exactly one node per solve: stage 1 alone
+  // without hidden payments, plus one sub-market per winner of a nonzero
+  // row with them.
+  PaConfig stage1_only = one_node;
+  stage1_only.hidden_payments = false;
+  EXPECT_EQ(ContestedAuction(stage1_only).pa_nodes, 1);
+  const RoundDiagnostics fallback = ContestedAuction(one_node);
+  EXPECT_GE(fallback.pa_nodes, 2);
+  EXPECT_LE(fallback.pa_nodes, 1 + 4);
+
+  // The exact search needs more nodes than that, and its optimum is at
+  // least as good as the greedy incumbent the one-node budget returns.
+  const RoundDiagnostics exact = ContestedAuction(PaConfig{});
+  EXPECT_GT(exact.pa_nodes, 1 + 4);
+  EXPECT_TRUE(std::isfinite(exact.pa_log_welfare));
+  EXPECT_NE(exact.pa_log_welfare, 0.0);
+  EXPECT_GE(exact.pa_log_welfare, fallback.pa_log_welfare);
 }
 
 TEST(AllocateLeftovers, CandidateDroppingOutMidPhaseMatchesFullRescan) {
