@@ -70,6 +70,33 @@ void BM_AgentPrepareBid(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentPrepareBid)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
+/// The daemon-fleet offer: a fixed random 131 of Simulation256's GPUs
+/// (about half, ascending), so most machines are partly free.
+std::vector<GpuId> FleetOffer() {
+  std::vector<GpuId> all(256);
+  for (GpuId g = 0; g < 256; ++g) all[g] = g;
+  Rng rng(4);
+  rng.Shuffle(all);
+  std::vector<GpuId> offered(all.begin(), all.begin() + 131);
+  std::sort(offered.begin(), offered.end());
+  return offered;
+}
+
+/// The bid shape the daemon fleet pays for: an app of ~25 single-task
+/// 4-GPU jobs valuing the fragmented fleet offer, one gang increment per
+/// job. For diagnosis only.
+void BM_AgentPrepareBidFleet(benchmark::State& state) {
+  Cluster cluster(ClusterSpec::Simulation256());
+  WorkEstimator est({});
+  auto app = BenchApp(0, /*jobs=*/25, /*tasks_per_job=*/1);
+  Agent agent(&cluster.topology(), &est, 10.0);
+  const std::vector<GpuId> offered = FleetOffer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.PrepareBid(*app, offered, 6));
+  }
+}
+BENCHMARK(BM_AgentPrepareBidFleet);
+
 /// Partial-allocation solve cost for `n_apps` bidders over `offered`
 /// GPUs of Simulation256.
 void RunPartialAllocation(benchmark::State& state, int n_apps,
@@ -105,18 +132,11 @@ void BM_PartialAllocation(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialAllocation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
 
-/// The daemon-fleet auction shape: 40 (its mean) and 64 bidders over a
-/// fragmented 131-GPU offer — a fixed random half of Simulation256, so most
-/// machines are partly free. For diagnosing the solver; node counts are
+/// The daemon-fleet auction shape: 40 (its mean) and 64 bidders over the
+/// fragmented fleet offer. For diagnosing the solver; node counts are
 /// reported alongside the time.
 void BM_PartialAllocationFleet(benchmark::State& state) {
-  std::vector<GpuId> all(256);
-  for (GpuId g = 0; g < 256; ++g) all[g] = g;
-  Rng rng(4);
-  rng.Shuffle(all);
-  std::vector<GpuId> offered(all.begin(), all.begin() + 131);
-  std::sort(offered.begin(), offered.end());
-  RunPartialAllocation(state, static_cast<int>(state.range(0)), offered);
+  RunPartialAllocation(state, static_cast<int>(state.range(0)), FleetOffer());
 }
 BENCHMARK(BM_PartialAllocationFleet)->Arg(40)->Arg(64)
     ->Unit(benchmark::kMillisecond);

@@ -11,6 +11,25 @@
 // where work-left W' comes from the app scheduler's estimator (clairvoyant,
 // noisy, or curve-fit — Sec. 8.1 / Fig. 11) and S captures placement
 // sensitivity. Apps holding no usable gang report the unbounded-rho cap.
+//
+// Valuation is incremental. PrepareBid walks cumulative gang increments,
+// and an increment changes only the one job that grew, so the agent keeps
+// per-job state for the call: each active job's rate G * S on the usable
+// prefix of its hypothetical gang (0 when the job makes no progress) and,
+// under a pure estimator (WorkEstimator::IsPure), its remaining work W',
+// fetched once. Each increment recomputes the grown job's rate only — the
+// same rate that decides whether the gang is worth bidding on — and T_SH is
+// a min over the cached per-job terms. Cuts are prefixes of one pick
+// buffer; only the kept rows materialize their GPUs.
+//
+// Estimator call sequence. A noisy estimator (kNoisy, theta > 0) draws on
+// every RemainingWork call, so its draws are part of the output. PrepareBid
+// then makes exactly the calls of the straightforward recomputation:
+// CurrentRho's (one per active job with rate > 0, ascending job index),
+// then JobPriorityOrder's (one per active job, ascending), then per
+// increment one per active job with rate > 0, ascending. Rates are cached in
+// every mode; only W' is refetched. tests/agent_oracle.h keeps that
+// recomputation as the reference the agent must match bit for bit.
 #pragma once
 
 #include <utility>
@@ -45,10 +64,6 @@ class Agent {
   /// rho with the app's current allocation (ARBITER probe, step 1 of Fig. 3).
   double CurrentRho(const AppState& app) const;
 
-  /// rho if `extra` GPUs were added and greedily spread over the app's jobs.
-  double HypotheticalRho(const AppState& app,
-                         const std::vector<GpuId>& extra) const;
-
   /// Build the valuation table for an offer (step 3 of Fig. 3). Rows are
   /// cumulative task-gang bundles in the app's own greedy priority order,
   /// placed as well as the offered pool allows; row 0 is the zero allocation
@@ -67,9 +82,8 @@ class Agent {
   std::vector<int> JobPriorityOrder(const AppState& app) const;
 
  private:
-  /// T_SH given per-job hypothetical GPU sets (indexed like app.jobs).
-  double SharedRunningTime(const AppState& app,
-                           const std::vector<std::vector<GpuId>>& gpus) const;
+  /// W' of app.jobs[j] from the estimator (one draw when noisy).
+  Work RemainingWork(const AppState& app, int j) const;
   double RhoFromSharedTime(const AppState& app, double t_sh) const;
 
   const Topology* topo_;

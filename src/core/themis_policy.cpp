@@ -17,14 +17,13 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
 
   // Thread budget for the round's data-parallel phases (probe, bid prep).
-  // Only the stateless clairvoyant estimator is safe off the main thread:
-  // kNoisy draws from the estimator's RNG on every probe and kCurveFit reads
-  // shared fit state, so their call *sequence* is part of the contract and
-  // they fall back to the serial loop regardless of the configured budget.
-  const bool stateless_estimator =
-      ctx.estimator().config().mode == EstimationMode::kClairvoyant;
+  // They are safe off the main thread whenever the estimator is pure
+  // (clairvoyant, curve-fit, or noise-free kNoisy). A noisy estimator draws
+  // from its RNG on every probe, so its call *sequence* is part of the
+  // contract and the round falls back to the serial loop regardless of the
+  // configured budget.
   const int round_threads =
-      stateless_estimator ? std::max(1, config_.auction_threads) : 1;
+      ctx.estimator().IsPure() ? std::max(1, config_.auction_threads) : 1;
 
   // Steps 1-2: probe for rho, sort worst-off first, keep the top 1-f
   // fraction (Fig. 3, steps 1-2). The comparator is a strict total order

@@ -55,9 +55,10 @@ struct ThemisConfig {
   /// writes only its own app / its own pre-sized bids[i] slot, so results are
   /// bit-identical to the serial loop at any thread count). 0 or 1 = serial;
   /// >= 2 = run on the shared process pool (common/parallel.h). The parallel
-  /// path engages only under the stateless kClairvoyant estimator; kNoisy /
-  /// kCurveFit share RNG / fit state whose draw order the serial loop
-  /// defines, so those modes silently fall back to serial.
+  /// path engages only under a pure estimator (WorkEstimator::IsPure:
+  /// kClairvoyant, kCurveFit, kNoisy at theta 0); a noisy estimator shares
+  /// RNG state whose draw order the serial loop defines, so that mode
+  /// silently falls back to serial.
   int auction_threads = 0;
   PaConfig pa;
 };

@@ -8,9 +8,12 @@ namespace themis {
 WorkEstimator::WorkEstimator(EstimatorConfig config)
     : config_(config), rng_(config.seed) {}
 
+bool WorkEstimator::IsPure() const {
+  return config_.mode != EstimationMode::kNoisy || config_.theta <= 0.0;
+}
+
 double WorkEstimator::Perturb(double value) {
-  if (config_.mode != EstimationMode::kNoisy || config_.theta <= 0.0)
-    return value;
+  if (IsPure()) return value;
   const double err = rng_.Uniform(-config_.theta, config_.theta);
   return std::max(0.0, value * (1.0 + err));
 }

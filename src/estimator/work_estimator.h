@@ -42,6 +42,14 @@ class WorkEstimator {
 
   const EstimatorConfig& config() const { return config_; }
 
+  /// True unless the mode is kNoisy with theta > 0. Only that mode draws
+  /// from the RNG, once per RemainingWork / TotalWork call; in every other
+  /// mode both are pure functions of their arguments (the curve fit is
+  /// stateless), so callers may cache their results and call them from
+  /// several threads at once. When false the call sequence is part of the
+  /// output and must be kept.
+  bool IsPure() const;
+
  private:
   double Perturb(double value);
 

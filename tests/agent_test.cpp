@@ -1,9 +1,13 @@
 // Tests for core/agent.h: rho estimation (Sec. 5.2 steps 1-7), valuation
-// tables, and app-internal GPU distribution.
+// tables, and app-internal GPU distribution, plus a property test against
+// the original valuation in agent_oracle.h.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "agent_oracle.h"
 #include "core/agent.h"
 
 namespace themis {
@@ -97,7 +101,9 @@ TEST_F(AgentTest, HypotheticalRhoImprovesWithExtraGpus) {
   app->jobs[0].gpus = {0, 1};
   Agent agent(&topo_, &est_, 5.0);
   const double current = agent.CurrentRho(*app);
-  const double with_extra = agent.HypotheticalRho(*app, {2, 3});
+  // The same app once it also holds {2, 3}.
+  app->jobs[0].gpus = {0, 1, 2, 3};
+  const double with_extra = agent.CurrentRho(*app);
   EXPECT_LT(with_extra, current);
 }
 
@@ -195,11 +201,150 @@ TEST_F(AgentTest, ValuationHomogeneity) {
   // the same machines halves rho (when no elapsed time blurs it).
   auto app = MakeApp(0, 0.0, {MakeJobSpec(40.0, 4, 2)});
   Agent agent(&topo_, &est_, 0.0);
-  const double rho_2 = agent.HypotheticalRho(*app, {0, 1});
-  const double rho_4 = agent.HypotheticalRho(*app, {0, 1, 2, 3});
+  app->jobs[0].gpus = {0, 1};
+  const double rho_2 = agent.CurrentRho(*app);
+  app->jobs[0].gpus = {0, 1, 2, 3};
+  const double rho_4 = agent.CurrentRho(*app);
   // {0,1} is slot-local, {0,1,2,3} machine-local; ResNet50 machine S = 0.99.
   const double s = ModelByName("ResNet50").sensitivity.machine;
   EXPECT_NEAR(rho_2 / rho_4, 2.0 * s, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the incremental valuation against the original recomputation.
+// ---------------------------------------------------------------------------
+
+/// Takes `count` GPUs nobody holds yet: a run of free ids from a random
+/// start (local) or a random scatter.
+std::vector<GpuId> TakeFree(Rng& rng, std::vector<bool>& taken, int count) {
+  std::vector<GpuId> free;
+  for (GpuId g = 0; g < static_cast<GpuId>(taken.size()); ++g)
+    if (!taken[g]) free.push_back(g);
+  if (free.empty() || count <= 0) return {};
+  std::vector<GpuId> out;
+  if (rng.UniformInt(0, 1) == 0) {
+    const int start = rng.UniformInt(0, static_cast<int>(free.size()) - 1);
+    for (int k = start; k < static_cast<int>(free.size()) &&
+                        static_cast<int>(out.size()) < count;
+         ++k)
+      out.push_back(free[k]);
+  } else {
+    rng.Shuffle(free);
+    out.assign(free.begin(),
+               free.begin() + std::min<std::size_t>(count, free.size()));
+  }
+  for (GpuId g : out) taken[g] = true;
+  return out;
+}
+
+/// A random app: 1-98 jobs of 1/2/4-GPU gangs and 1-4 tasks, mixed models
+/// and placement constraints, some dead or finished, some with a demoted
+/// parallelism cap, some holding GPUs (not always whole gangs). Work comes
+/// from a small grid so remaining-work ties exercise the stable order.
+std::unique_ptr<AppState> RandomApp(Rng& rng, std::vector<bool>& taken) {
+  const int num_jobs =
+      rng.UniformInt(0, 3) == 0 ? rng.UniformInt(1, 98) : rng.UniformInt(1, 30);
+  std::vector<JobSpec> specs;
+  for (int j = 0; j < num_jobs; ++j) {
+    static constexpr int kGangs[] = {1, 2, 4};
+    static constexpr const char* kModels[] = {"VGG16", "VGG19", "AlexNet",
+                                              "Inceptionv3", "ResNet50"};
+    JobSpec spec = MakeJobSpec(10.0 * rng.UniformInt(1, 12),
+                               rng.UniformInt(1, 4), kGangs[rng.UniformInt(0, 2)],
+                               kModels[rng.UniformInt(0, 4)]);
+    const int span = rng.UniformInt(0, 5);
+    if (span <= 2) spec.max_span = static_cast<LocalityLevel>(span);
+    specs.push_back(spec);
+  }
+  auto app = MakeApp(static_cast<AppId>(rng.UniformInt(0, 1000)),
+                     rng.Uniform(0.0, 50.0), specs);
+  for (JobState& job : app->jobs) {
+    const int gang = job.spec.gpus_per_task;
+    job.done = job.spec.total_work * 0.25 * rng.UniformInt(0, 3);
+    if (rng.UniformInt(0, 9) == 0) job.alive = false;
+    if (rng.UniformInt(0, 9) == 0) job.finished = true;
+    if (rng.UniformInt(0, 4) == 0)
+      job.parallelism_cap = gang * rng.UniformInt(0, job.spec.num_tasks);
+    if (rng.UniformInt(0, 2) == 0) {
+      int held = gang * rng.UniformInt(1, job.spec.num_tasks);
+      if (rng.UniformInt(0, 3) == 0) held += rng.UniformInt(-1, 1);
+      job.gpus = TakeFree(rng, taken, held);
+    }
+  }
+  return app;
+}
+
+/// The offer: a random fragment of the GPUs nobody holds, ascending, or the
+/// same fragment shuffled.
+std::vector<GpuId> RandomOffer(Rng& rng, const std::vector<bool>& taken) {
+  const double keep = rng.Uniform(0.1, 1.0);
+  std::vector<GpuId> offered;
+  for (GpuId g = 0; g < static_cast<GpuId>(taken.size()); ++g)
+    if (!taken[g] && rng.NextDouble() < keep) offered.push_back(g);
+  if (rng.UniformInt(0, 1) == 0) rng.Shuffle(offered);
+  return offered;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(AgentOracle, PrepareBidMatchesReference) {
+  const std::vector<Topology> topologies = {
+      Topology(ClusterSpec::Simulation256()),
+      Topology(ClusterSpec::Simulation256Mixed()),
+      Topology(ClusterSpec::Uniform(4, 4, 8, 2))};
+  const std::vector<EstimatorConfig> estimators = {
+      {EstimationMode::kClairvoyant, 0.0, 7},
+      {EstimationMode::kNoisy, 0.2, 11},
+      {EstimationMode::kCurveFit, 0.0, 7}};
+  const JobSpec probe = MakeJobSpec(50.0, 1, 1);
+  Rng rng(2024);
+  int multi_row_bids = 0;
+  int capped_bids = 0;  // as many rows as max_rows allows
+  for (const Topology& topo : topologies) {
+    for (const EstimatorConfig& config : estimators) {
+      WorkEstimator est(config);
+      WorkEstimator ref_est(config);
+      for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(::testing::Message()
+                     << topo.Describe() << " mode "
+                     << static_cast<int>(config.mode) << " trial " << trial);
+        std::vector<bool> taken(topo.num_gpus(), false);
+        const auto app = RandomApp(rng, taken);
+        const std::vector<GpuId> offered = RandomOffer(rng, taken);
+        const int max_rows = rng.UniformInt(1, 8);
+        const Time now = app->arrival() + rng.Uniform(-5.0, 100.0);
+        const Agent agent(&topo, &est, now);
+        const oracle::AgentRef ref{&topo, &ref_est, now};
+
+        EXPECT_EQ(Bits(agent.CurrentRho(*app)), Bits(ref.CurrentRho(*app)));
+        // The next draw checks that both made the same estimator calls.
+        EXPECT_EQ(Bits(est.RemainingWork(probe, 0.0, 0.1)),
+                  Bits(ref_est.RemainingWork(probe, 0.0, 0.1)));
+
+        const AgentBid got = agent.PrepareBid(*app, offered, max_rows);
+        const AgentBid want = ref.PrepareBid(*app, offered, max_rows);
+        EXPECT_EQ(Bits(est.RemainingWork(probe, 0.0, 0.1)),
+                  Bits(ref_est.RemainingWork(probe, 0.0, 0.1)));
+        EXPECT_EQ(got.table.app, want.table.app);
+        ASSERT_EQ(got.table.rows.size(), want.table.rows.size());
+        ASSERT_EQ(got.row_gpus.size(), want.row_gpus.size());
+        for (std::size_t r = 0; r < got.table.rows.size(); ++r) {
+          EXPECT_EQ(got.table.rows[r].gpus_per_machine,
+                    want.table.rows[r].gpus_per_machine)
+              << "row " << r;
+          EXPECT_EQ(Bits(got.table.rows[r].rho), Bits(want.table.rows[r].rho))
+              << "row " << r;
+          EXPECT_EQ(got.row_gpus[r], want.row_gpus[r]) << "row " << r;
+        }
+        if (got.table.rows.size() > 2) ++multi_row_bids;
+        if (static_cast<int>(got.table.rows.size()) == max_rows + 1)
+          ++capped_bids;
+      }
+    }
+  }
+  // The generator must reach the interesting shapes, not just empty bids.
+  EXPECT_GT(multi_row_bids, 200);
+  EXPECT_GT(capped_bids, 200);
 }
 
 }  // namespace
