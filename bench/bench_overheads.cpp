@@ -20,6 +20,8 @@
 #include "core/agent.h"
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "filter_oracle.h"
+#include "round_driver.h"
 #include "sim/experiment.h"
 
 namespace themis {
@@ -155,10 +157,11 @@ void BM_ThemisSchedulingPass(benchmark::State& state) {
       apps.push_back(BenchApp(static_cast<AppId>(i), 8, 1));
       list.push_back(apps.back().get());
     }
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    RhoIndex index;
+    for (AppState* app : list) index.Update(app);
     ThemisPolicy policy;
     state.ResumeTiming();
-    policy.Schedule(cluster.FreeGpus(), ctx);
+    harness::DriveRound(policy, cluster, est, list, rng, index, {});
   }
 }
 BENCHMARK(BM_ThemisSchedulingPass)->Arg(8)->Arg(16)->Arg(32);
@@ -196,12 +199,14 @@ BENCHMARK(BM_ClusterPassChurn)->Arg(64)->Arg(512)->Arg(1024)
 // BM_FilterProbe: ARBITER filter+probe cost vs live-app population, one
 // lease expiry per round — the daemon regime where a huge multi-tenant queue
 // waits on a small cluster and each round reoffers a sliver. The recompute
-// path probes and sorts every live app per round (O(n log n)); the indexed
-// path (core/rho_index.h) re-probes only the ~cluster-capacity holders and
-// merges them with the maintained gangless class, so rounds scale with the
-// auction instead of the population. Both paths are driven through the same
-// mutation sequence and their grant streams are fingerprint-checked for the
-// bit-identicality the index contract promises.
+// column runs the literal-filter oracle (tests/filter_oracle.h), which
+// probes and sorts every live app per round (O(n log n)); the indexed
+// column runs ThemisPolicy, whose filter (core/rho_index.h) re-probes only
+// the ~cluster-capacity holders and merges them with the maintained
+// gangless class, so rounds scale with the auction instead of the
+// population. Both are driven through the same mutation sequence and the
+// same round driver, and their grant streams are fingerprint-checked for
+// the bit-identicality the index contract promises.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<AppState> FilterProbeApp(AppId id) {
@@ -232,14 +237,12 @@ struct FilterProbeWorld {
   std::vector<std::unique_ptr<AppState>> apps;
   AppList list;
   RhoIndex index;
-  bool use_index;
   int victim_cursor = 0;
 
-  FilterProbeWorld(int num_apps, bool indexed)
+  explicit FilterProbeWorld(int num_apps)
       : cluster(ClusterSpec::Uniform(2, 16, 4, 4)),  // 128 GPUs
         est({}),
-        rng(42),
-        use_index(indexed) {
+        rng(42) {
     for (AppId id = 0; id < static_cast<AppId>(num_apps); ++id) {
       apps.push_back(FilterProbeApp(id));
       list.push_back(apps.back().get());
@@ -250,14 +253,14 @@ struct FilterProbeWorld {
       cluster.Allocate(g, static_cast<AppId>(g), 0, 1.0e9);
       apps[g]->jobs[0].gpus = {g};
     }
-    if (use_index)
-      for (auto& app : apps) index.Update(app.get());
+    for (auto& app : apps) index.Update(app.get());
   }
 
   /// One single-expiry round: the rotating victim's lease lapses, the round
   /// reoffers that one GPU, the worst-off app wins it back. Returns the
-  /// round's grant stream folded into `fp` (paths must agree bit-for-bit).
-  std::uint64_t Round(Time now, ThemisPolicy& policy, std::uint64_t fp,
+  /// round's grant stream folded into `fp` (both columns must agree
+  /// bit-for-bit).
+  std::uint64_t Round(Time now, IRoundScheduler& scheduler, std::uint64_t fp,
                       int* granted_gpus) {
     AppState* victim = apps[victim_cursor].get();
     victim_cursor = (victim_cursor + 1) % static_cast<int>(cluster.num_gpus());
@@ -265,11 +268,10 @@ struct FilterProbeWorld {
     const GpuId g = vjob.gpus[0];
     cluster.Release(g);
     vjob.gpus.clear();
-    if (use_index) index.Update(victim);
 
-    SchedulerContext ctx(now, &cluster, &est, /*lease=*/1.0e9, &list, &rng);
-    if (use_index) ctx.set_rho_index(&index);
-    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+    const GrantSet grants = harness::DriveRound(
+        scheduler, cluster, est, list, rng, index, {victim}, now,
+        /*lease=*/1.0e9);
     for (const Grant& grant : grants.grants) {
       for (GpuId gg : grant.gpus) {
         fp = fp * 1000003ull + static_cast<std::uint64_t>(grant.app) * 131ull +
@@ -278,11 +280,6 @@ struct FilterProbeWorld {
         ++*granted_gpus;
       }
     }
-    if (use_index)
-      for (const auto& [app_id, job_id] : ctx.granted_jobs()) {
-        (void)job_id;
-        index.Update(apps[app_id].get());
-      }
     return fp;
   }
 };
@@ -294,19 +291,21 @@ struct FilterProbeRun {
 };
 
 FilterProbeRun MeasureFilterProbe(int num_apps, bool indexed, int rounds) {
-  FilterProbeWorld world(num_apps, indexed);
+  FilterProbeWorld world(num_apps);
   ThemisConfig cfg;
   // Daemon regime: offer each sliver to the single worst-off app, so round
   // cost is the filter itself, not the auction.
   cfg.fairness_knob = 1.0;
-  cfg.incremental_filter = indexed;
   ThemisPolicy policy(cfg);
+  oracle::LiteralFilterPolicy recompute(cfg);
+  IRoundScheduler& scheduler =
+      indexed ? static_cast<IRoundScheduler&>(policy) : recompute;
   FilterProbeRun run;
   Time now = 1.0;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
     run.fingerprint =
-        world.Round(now, policy, run.fingerprint, &run.granted_gpus);
+        world.Round(now, scheduler, run.fingerprint, &run.granted_gpus);
     now += 1.0;
   }
   const std::chrono::duration<double> elapsed =
@@ -430,11 +429,13 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
                            /*expiry=*/1.0e9);
         apps[a]->jobs[j].gpus = gang;
       }
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    RhoIndex index;
+    for (AppState* app : list) index.Update(app);
     ThemisPolicy policy(cfg);
 
     const auto start = std::chrono::steady_clock::now();
-    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+    const GrantSet grants =
+        harness::DriveRound(policy, cluster, est, list, rng, index, {});
     total_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -485,7 +486,9 @@ int RunParallelRoundSweep() {
         run.rounds_per_sec / std::max(1e-9, baseline.rounds_per_sec);
     std::printf("%8d %12.2f %8.2fx %10s\n", threads, run.rounds_per_sec,
                 speedup, identical ? "yes" : "NO");
-    const std::string tag = "@" + std::to_string(threads) + "threads";
+    std::string tag = "@";
+    tag += std::to_string(threads);
+    tag += "threads";
     report.Metric("parallel_rounds_per_sec" + tag, run.rounds_per_sec);
     report.Metric("parallel_round_speedup" + tag, speedup);
     report.Metric("parallel_round_identical" + tag, identical ? 1.0 : 0.0);

@@ -15,7 +15,7 @@
 
 namespace themis {
 
-class GandivaPolicy final : public ISchedulerPolicy {
+class GandivaPolicy final : public IRoundScheduler {
  public:
   GrantSet RunRound(const ResourceOffer& offer,
                     SchedulerContext& ctx) override;

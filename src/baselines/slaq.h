@@ -12,7 +12,7 @@
 
 namespace themis {
 
-class SlaqPolicy final : public ISchedulerPolicy {
+class SlaqPolicy final : public IRoundScheduler {
  public:
   GrantSet RunRound(const ResourceOffer& offer,
                     SchedulerContext& ctx) override;

@@ -30,12 +30,11 @@
 // 1-f fraction instead of materializing the whole order.
 //
 // Membership is re-derived from AppState alone (Update is idempotent), so
-// every simulator hook simply calls Update(app) after mutating it. The
-// simulator owns one RhoIndex and threads it to policies through
-// SchedulerContext::rho_index(); contexts built without one (legacy tests,
-// external embedders) leave the pointer null and ThemisPolicy falls back to
-// the literal scan. ThemisConfig::incremental_filter = false forces the
-// literal scan even when an index is present (the bisect escape hatch).
+// every front-end hook simply calls Update(app) after mutating it. The
+// Simulator and server::ArbiterCore each own one RhoIndex and hand it to
+// policies through SchedulerContext::rho_index(); ThemisPolicy's filter
+// reads nothing else. The literal probe-everything filter survives only as
+// the test oracle in tests/filter_oracle.h.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "common/parallel.h"
 #include "core/rho_index.h"
@@ -10,10 +11,78 @@
 
 namespace themis {
 
+namespace {
+
+/// Steps 1-2 (Fig. 3): probe for rho, order worst-off first, keep the top
+/// 1-f fraction. Only the index's holders are re-probed — ascending id,
+/// which is exactly the estimator-call sequence of probing every active
+/// app, because gangless apps make no estimator calls. The gangless hungry
+/// class sits pre-ordered in the index with last_rho pinned to the
+/// kUnboundedRho constant the probe would return. Returns no participants
+/// when no app has unmet demand.
+std::vector<AppState*> SelectParticipants(const ThemisConfig& config,
+                                          RhoIndex& index, const Agent& agent,
+                                          int round_threads) {
+  // The comparator is a strict total order (ids are unique), so "sorted
+  // under it" names one unique permutation — which is what lets a merge of
+  // the two classes reproduce a stable_sort of all candidates bit-for-bit.
+  const bool short_first = config.short_app_tiebreak;
+  const auto worse = [short_first](const AppState* a, const AppState* b) {
+    if (a->last_rho != b->last_rho) return a->last_rho > b->last_rho;
+    // Sec. 8.3.1 / Fig. 8: "we break ties in favor of shorter apps" — equal
+    // (often unbounded) rho goes to the app with the smaller ideal time.
+    if (short_first && a->ideal_time != b->ideal_time)
+      return a->ideal_time < b->ideal_time;
+    return a->id < b->id;  // deterministic final tie-break
+  };
+
+  index.SetTiebreak(short_first);
+  const std::vector<AppState*>& holders = index.holders();
+  // Probe phase: each slot touches only its own app, so the parallel probe
+  // stores the exact values the serial ascending loop would.
+  ParallelFor(holders.size(), round_threads, [&](std::size_t i) {
+    holders[i]->last_rho = agent.CurrentRho(*holders[i]);
+  });
+  std::vector<AppState*> bounded;
+  for (AppState* app : holders)
+    if (app->UnmetDemand() > 0) bounded.push_back(app);
+  const std::size_t num_candidates = bounded.size() + index.num_unbounded();
+  if (num_candidates == 0) return {};
+  std::stable_sort(bounded.begin(), bounded.end(), worse);
+
+  // Always at least one app so the round is work conserving.
+  const int offer_count = std::max(
+      1, static_cast<int>(std::ceil((1.0 - config.fairness_knob) *
+                                    static_cast<double>(num_candidates))));
+  const std::size_t take =
+      std::min<std::size_t>(static_cast<std::size_t>(offer_count),
+                            num_candidates);
+
+  // Merge the two sorted classes under the full comparator, stopping at the
+  // cut instead of materializing the whole order.
+  std::vector<AppState*> participants;
+  participants.reserve(take);
+  auto ub = index.unbounded_candidates().begin();
+  const auto ub_end = index.unbounded_candidates().end();
+  std::size_t bi = 0;
+  while (participants.size() < take) {
+    if (bi < bounded.size() && (ub == ub_end || worse(bounded[bi], *ub)))
+      participants.push_back(bounded[bi++]);
+    else
+      participants.push_back(*ub++);
+  }
+  return participants;
+}
+
+}  // namespace
+
 ThemisPolicy::ThemisPolicy(ThemisConfig config) : config_(config) {}
 
 GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
                                 SchedulerContext& ctx) {
+  if (ctx.rho_index() == nullptr)
+    throw std::invalid_argument(
+        "ThemisPolicy::RunRound: the context carries no RhoIndex");
   Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
 
   // Thread budget for the round's data-parallel phases (probe, bid prep).
@@ -25,83 +94,18 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   const int round_threads =
       ctx.estimator().IsPure() ? std::max(1, config_.auction_threads) : 1;
 
-  // Steps 1-2: probe for rho, sort worst-off first, keep the top 1-f
-  // fraction (Fig. 3, steps 1-2). The comparator is a strict total order
-  // (ids are unique), so "sorted under it" names one unique permutation —
-  // which is what lets the indexed path below reproduce the full scan's
-  // stable_sort bit-for-bit from a merge.
-  const bool short_first = config_.short_app_tiebreak;
-  const auto worse = [short_first](const AppState* a, const AppState* b) {
-    if (a->last_rho != b->last_rho) return a->last_rho > b->last_rho;
-    // Sec. 8.3.1 / Fig. 8: "we break ties in favor of shorter apps" — equal
-    // (often unbounded) rho goes to the app with the smaller ideal time.
-    if (short_first && a->ideal_time != b->ideal_time)
-      return a->ideal_time < b->ideal_time;
-    return a->id < b->id;  // deterministic final tie-break
-  };
-  const auto offer_count = [this](std::size_t num_candidates) {
-    // Always at least one app so the round is work conserving.
-    return std::max(
-        1, static_cast<int>(std::ceil((1.0 - config_.fairness_knob) *
-                                      static_cast<double>(num_candidates))));
-  };
+  const std::vector<AppState*> participants =
+      SelectParticipants(config_, *ctx.rho_index(), agent, round_threads);
+  if (participants.empty()) return ctx.TakeGrants();
+  RunAuction(ctx, offer, agent, participants, config_, round_threads);
+  // Step 6: leftover allocation (work conserving).
+  AllocateLeftovers(ctx, agent, participants);
+  return ctx.TakeGrants();
+}
 
-  std::vector<AppState*> participants;
-  RhoIndex* index = config_.incremental_filter ? ctx.rho_index() : nullptr;
-  if (index != nullptr) {
-    // Indexed filter (core/rho_index.h): only apps holding GPUs can have a
-    // rho that moved since the last round, so only they are re-probed —
-    // ascending id, which is exactly the full scan's estimator-call
-    // sequence, because gangless apps contribute no estimator calls there.
-    // The gangless hungry class sits pre-ordered in the index with
-    // last_rho pinned to the kUnboundedRho constant the probe would return.
-    index->SetTiebreak(short_first);
-    const std::vector<AppState*>& holders = index->holders();
-    // Probe phase: each slot touches only its own app, so the parallel probe
-    // stores the exact values the serial ascending loop would.
-    ParallelFor(holders.size(), round_threads,
-                [&](std::size_t i) {
-                  holders[i]->last_rho = agent.CurrentRho(*holders[i]);
-                });
-    std::vector<AppState*> bounded;
-    for (AppState* app : holders)
-      if (app->UnmetDemand() > 0) bounded.push_back(app);
-    const std::size_t num_candidates =
-        bounded.size() + index->num_unbounded();
-    if (num_candidates == 0) return ctx.TakeGrants();
-    std::stable_sort(bounded.begin(), bounded.end(), worse);
-
-    // Merge the two sorted classes under the full comparator, stopping at
-    // the cut instead of materializing the whole order.
-    const std::size_t take = std::min<std::size_t>(
-        static_cast<std::size_t>(offer_count(num_candidates)), num_candidates);
-    participants.reserve(take);
-    auto ub = index->unbounded_candidates().begin();
-    const auto ub_end = index->unbounded_candidates().end();
-    std::size_t bi = 0;
-    while (participants.size() < take) {
-      if (bi < bounded.size() && (ub == ub_end || worse(bounded[bi], *ub)))
-        participants.push_back(bounded[bi++]);
-      else
-        participants.push_back(*ub++);
-    }
-  } else {
-    // Literal filter: probe every active app, sort the full candidate set.
-    const AppList& apps = ctx.apps();
-    ParallelFor(apps.size(), round_threads, [&](std::size_t i) {
-      apps[i]->last_rho = agent.CurrentRho(*apps[i]);
-    });
-    std::vector<AppState*> candidates;
-    for (AppState* app : apps)
-      if (app->UnmetDemand() > 0) candidates.push_back(app);
-    if (candidates.empty()) return ctx.TakeGrants();
-    std::stable_sort(candidates.begin(), candidates.end(), worse);
-    const int n_offer = offer_count(candidates.size());
-    participants.assign(
-        candidates.begin(),
-        candidates.begin() + std::min<std::size_t>(n_offer, candidates.size()));
-  }
-
+void RunAuction(SchedulerContext& ctx, const ResourceOffer& offer,
+                const Agent& agent, const std::vector<AppState*>& participants,
+                const ThemisConfig& config, int round_threads) {
   // Step 3: collect bids against the offer's resource vector R-> and pool —
   // the protocol inputs, no recount of the cluster's free state.
   const std::vector<int>& offered = offer.free_per_machine;
@@ -118,7 +122,7 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
       participants.size(), round_threads,
       [&](std::size_t i) {
         bids[i] = agent.PrepareBid(*participants[i], free_gpus,
-                                   config_.max_bid_rows);
+                                   config.max_bid_rows);
       },
       /*grain=*/1);
   // The solver borrows the tables in place — no per-bid copy.
@@ -127,7 +131,7 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   for (const AgentBid& bid : bids) tables.push_back(&bid.table);
 
   // Step 4: partial allocation with hidden payments.
-  const PaResult pa = PartialAllocation(tables, offered, config_.pa);
+  const PaResult pa = PartialAllocation(tables, offered, config.pa);
   ctx.grants().diagnostics.auction_ran = true;
   ctx.grants().diagnostics.auction_participants =
       static_cast<int>(participants.size());
@@ -190,10 +194,6 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
     for (GpuId g : concrete)
       if (ctx.free_pool().Contains(g)) still_free[g] = true;
   }
-
-  // Step 6: leftover allocation (work conserving).
-  AllocateLeftovers(ctx, agent, participants);
-  return ctx.TakeGrants();
 }
 
 namespace {

@@ -13,6 +13,11 @@
 //   6. stage leftover GPUs work-conservingly for apps outside the auction,
 //      one gang at a time, preferring machines those apps already occupy
 //      (Sec. 5.1 "Leftover Allocation").
+// Steps 1-2 read the front end's maintained RhoIndex: only apps holding
+// GPUs can have a rho that moved since the last round, so only they are
+// re-probed, and the gangless hungry apps — whose rho is the kUnboundedRho
+// constant — sit pre-ordered in the index (core/rho_index.h). The cut is
+// the one probing and sorting every active app would give.
 // The returned GrantSet carries the round's auction diagnostics (offered /
 // granted / leftover counts, participant count); applying the leases is the
 // caller's job via ApplyGrants.
@@ -42,14 +47,6 @@ struct ThemisConfig {
   /// ties toward apps with smaller ideal running time ("we break ties in
   /// favor of shorter apps"). When false, ties fall back to app id.
   bool short_app_tiebreak = true;
-  /// Use the maintained RhoIndex (core/rho_index.h) for the filter step when
-  /// the embedder provides one through SchedulerContext::rho_index():
-  /// re-probe only apps holding GPUs and merge them with the pre-ordered
-  /// gangless class, instead of probing and sorting every active app each
-  /// round. Bit-identical to the full scan by construction; false forces
-  /// the literal scan (the `themis_cli --no-incremental-filter` bisect
-  /// hatch). Contexts without an index always take the literal scan.
-  bool incremental_filter = true;
   /// Thread budget for the round's embarrassingly parallel phases — the rho
   /// probe over GPU holders and per-participant bid preparation (each worker
   /// writes only its own app / its own pre-sized bids[i] slot, so results are
@@ -63,16 +60,28 @@ struct ThemisConfig {
   PaConfig pa;
 };
 
-class ThemisPolicy final : public ISchedulerPolicy {
+class ThemisPolicy final : public IRoundScheduler {
  public:
   explicit ThemisPolicy(ThemisConfig config = {});
 
+  /// One round of Pseudocode 1. The filter reads the context's maintained
+  /// RhoIndex (core/rho_index.h); a context without one throws
+  /// std::invalid_argument.
   GrantSet RunRound(const ResourceOffer& offer, SchedulerContext& ctx) override;
   const char* name() const override { return "Themis"; }
 
  private:
   ThemisConfig config_;
 };
+
+/// Stages 3-5 of a Themis round: collect one valuation-table bid per
+/// participant against the offer (fanned over `round_threads`, bit-identical
+/// at any count), run Partial Allocation with hidden payments, stamp the
+/// auction diagnostics, and stage each winner's bundle as grants spread over
+/// its jobs. `participants` is the filter's output, worst-off first.
+void RunAuction(SchedulerContext& ctx, const ResourceOffer& offer,
+                const Agent& agent, const std::vector<AppState*>& participants,
+                const ThemisConfig& config, int round_threads);
 
 /// Stage 6 of a Themis round: hand out whatever is still in `ctx`'s pool,
 /// one gang at a time to an app drawn with ctx.rng() — apps outside

@@ -259,8 +259,8 @@ GrantSet ArbiterCore::FinishRound(const ResourceOffer& offer) {
     throw std::logic_error("ArbiterCore: FinishRound without an open offer");
   round_open_ = false;
 
-  SchedulerContext ctx(offer, &cluster_, &estimator_, &active_apps_, &rng_);
-  ctx.set_rho_index(&rho_index_);
+  SchedulerContext ctx(offer, &cluster_, &estimator_, &active_apps_, &rng_,
+                       &rho_index_);
   GrantSet grants = scheduler_->RunRound(offer, ctx);
   ApplyGrants(grants, cluster_);
 
@@ -268,7 +268,8 @@ GrantSet ArbiterCore::FinishRound(const ResourceOffer& offer) {
   // every granted job restarts from its checkpoint. Ascending (app, job)
   // walk fixes the placement-score accumulation order.
   std::map<std::pair<AppId, JobId>, bool> granted;
-  for (const auto& key : ctx.granted_jobs()) granted.try_emplace(key, true);
+  for (const Grant& g : grants.grants)
+    granted.try_emplace({g.app, g.job}, true);
   for (const auto& [key, unused] : granted) {
     (void)unused;
     AppState* app = FindApp(key.first);

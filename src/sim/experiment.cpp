@@ -38,8 +38,8 @@ PolicyKind PolicyKindFromString(const std::string& name) {
   throw std::runtime_error("unknown policy: " + name);
 }
 
-std::unique_ptr<ISchedulerPolicy> MakePolicy(PolicyKind kind,
-                                             ThemisConfig themis_config) {
+std::unique_ptr<IRoundScheduler> MakePolicy(PolicyKind kind,
+                                            ThemisConfig themis_config) {
   switch (kind) {
     case PolicyKind::kThemis:
       return std::make_unique<ThemisPolicy>(themis_config);

@@ -20,8 +20,8 @@ const char* ToString(PolicyKind kind);
 /// Case-insensitive inverse of ToString ("themis", "drf", ...). Throws
 /// std::runtime_error on unknown names; shared by the CLI and scenario JSON.
 PolicyKind PolicyKindFromString(const std::string& name);
-std::unique_ptr<ISchedulerPolicy> MakePolicy(PolicyKind kind,
-                                             ThemisConfig themis_config = {});
+std::unique_ptr<IRoundScheduler> MakePolicy(PolicyKind kind,
+                                            ThemisConfig themis_config = {});
 
 struct ExperimentConfig {
   ClusterSpec cluster = ClusterSpec::Simulation256();

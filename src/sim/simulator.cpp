@@ -451,7 +451,7 @@ void Simulator::SchedulingPass(Time t) {
   // the cluster indices, round id = pass number), let the scheduler stage
   // its grants against the offer's pool, then apply the leases — the single
   // grant-application path; policies never touch the cluster.
-  std::vector<std::pair<AppId, JobId>> granted_jobs;
+  GrantSet grants;
   std::vector<GpuId> free = cluster_.FreeGpus();
   if (!free.empty() && !active_apps_.empty()) {
     ++rounds_executed_;
@@ -462,9 +462,9 @@ void Simulator::SchedulingPass(Time t) {
     offer.free_per_machine = cluster_.FreeGpusPerMachine();
     offer.machine_speeds = cluster_.topology().machine_speeds();
     offer.gpus = std::move(free);
-    SchedulerContext ctx(offer, &cluster_, &estimator_, &active_apps_, &rng_);
-    ctx.set_rho_index(&rho_index_);
-    const GrantSet grants = scheduler_->RunRound(offer, ctx);
+    SchedulerContext ctx(offer, &cluster_, &estimator_, &active_apps_, &rng_,
+                         &rho_index_);
+    grants = scheduler_->RunRound(offer, ctx);
     ApplyGrants(grants, cluster_);
     if (grants.diagnostics.auction_ran)
       metrics_.RecordAuction(grants.diagnostics.auction_participants,
@@ -472,12 +472,8 @@ void Simulator::SchedulingPass(Time t) {
                              grants.diagnostics.granted_gpus,
                              grants.diagnostics.leftover_gpus);
     if (round_observer_) round_observer_(offer, grants);
-    // The context, not the returned set, is the authoritative record of
-    // staged grants: legacy Schedule() shims apply-and-consume the GrantSet
-    // inside the round, but every grant still passes through ctx.Grant.
-    granted_jobs = ctx.granted_jobs();
-    for (const auto& key : granted_jobs)
-      if (AppState* app = FindApp(key.first)) UpdateHolding(app);
+    for (const Grant& g : grants.grants)
+      if (AppState* app = FindApp(g.app)) UpdateHolding(app);
   }
 
   // 4a. Apply restart overheads to the touched jobs. Reclaimed jobs carry
@@ -488,7 +484,8 @@ void Simulator::SchedulingPass(Time t) {
   // walk — and so the placement-score accumulation order — of that walk.
   std::map<std::pair<AppId, JobId>, const std::vector<GpuId>*> touched;
   for (const auto& [key, gang] : reclaimed_before) touched[key] = &gang;
-  for (const auto& key : granted_jobs) touched.try_emplace(key, nullptr);
+  for (const Grant& g : grants.grants)
+    touched.try_emplace({g.app, g.job}, nullptr);
   for (const auto& [key, before] : touched) {
     AppState* app = FindApp(key.first);
     if (app == nullptr || app->finished || key.second >= app->jobs.size())
@@ -514,7 +511,7 @@ void Simulator::SchedulingPass(Time t) {
       (void)gang;
       alloc_touched_apps_.push_back(key.first);
     }
-    for (const auto& key : granted_jobs) alloc_touched_apps_.push_back(key.first);
+    for (const Grant& g : grants.grants) alloc_touched_apps_.push_back(g.app);
     std::sort(alloc_touched_apps_.begin(), alloc_touched_apps_.end());
     alloc_touched_apps_.erase(
         std::unique(alloc_touched_apps_.begin(), alloc_touched_apps_.end()),

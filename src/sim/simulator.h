@@ -235,8 +235,8 @@ class Simulator {
   /// Maintained filter index for the ARBITER's rho sort, kept in sync at
   /// every membership mutation (arrival, gang change, tuner step, finish)
   /// and handed to policies through SchedulerContext::rho_index(). Policies
-  /// that ignore it cost one pointer; ThemisPolicy's incremental filter
-  /// reads it instead of probing the whole population each round.
+  /// that ignore it cost one pointer; ThemisPolicy's filter reads it
+  /// instead of probing the whole population each round.
   RhoIndex rho_index_;
   /// Apps whose tuner views may have changed since their last Step
   /// (AppState::tuner_dirty guards duplicates); sorted+resolved per pass.

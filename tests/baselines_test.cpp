@@ -7,6 +7,7 @@
 #include "baselines/gandiva.h"
 #include "baselines/slaq.h"
 #include "baselines/tiresias.h"
+#include "round_driver.h"
 
 namespace themis {
 namespace {
@@ -48,16 +49,16 @@ class BaselineTest : public ::testing::Test {
   BaselineTest()
       : cluster_(ClusterSpec::Uniform(2, 2, 4, 2)), est_({}), rng_(1) {}
 
-  void Schedule(ISchedulerPolicy& policy, Time now = 0.0) {
+  void RunOneRound(IRoundScheduler& policy, Time now = 0.0) {
     AppList list;
     for (auto& app : apps_) list.push_back(app.get());
-    SchedulerContext ctx(now, &cluster_, &est_, /*lease=*/20.0, &list, &rng_);
-    policy.Schedule(cluster_.FreeGpus(), ctx);
+    harness::DriveRound(policy, cluster_, est_, list, rng_, index_, list, now);
   }
 
   Cluster cluster_;
   WorkEstimator est_;
   Rng rng_;
+  RhoIndex index_;
   std::vector<std::unique_ptr<AppState>> apps_;
 };
 
@@ -70,7 +71,7 @@ TEST_F(BaselineTest, TiresiasServesLeastAttainedServiceFirst) {
   // Only one gang available.
   for (GpuId g = 4; g < 16; ++g) cluster_.Allocate(g, 99, 0, 100.0);
   TiresiasPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[1]->GpusHeld(), 4);
   EXPECT_EQ(apps_[0]->GpusHeld(), 0);
 }
@@ -83,7 +84,7 @@ TEST_F(BaselineTest, TiresiasIsPlacementUnaware) {
   for (GpuId g = 0; g < 16; ++g)
     if (g % 4 != 3) cluster_.Allocate(g, 99, 0, 100.0);
   TiresiasPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   ASSERT_EQ(apps_[0]->jobs[0].gpus.size(), 4u);
   EXPECT_EQ(cluster_.topology().SpanLevel(apps_[0]->jobs[0].gpus),
             LocalityLevel::kCrossRack);
@@ -93,7 +94,7 @@ TEST_F(BaselineTest, TiresiasRoundRobinsAcrossEqualService) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 2, 4)}));
   apps_.push_back(MakeApp(1, 0.0, {MakeJobSpec(40.0, 2, 4)}));
   TiresiasPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   // 16 GPUs, demand 8 + 8: both fully served.
   EXPECT_EQ(apps_[0]->GpusHeld(), 8);
   EXPECT_EQ(apps_[1]->GpusHeld(), 8);
@@ -102,7 +103,7 @@ TEST_F(BaselineTest, TiresiasRoundRobinsAcrossEqualService) {
 TEST_F(BaselineTest, GandivaPacksGangsForLocality) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 4, 0.6, "VGG16")}));
   GandivaPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   ASSERT_EQ(apps_[0]->jobs[0].gpus.size(), 4u);
   EXPECT_LE(static_cast<int>(
                 cluster_.topology().SpanLevel(apps_[0]->jobs[0].gpus)),
@@ -115,7 +116,7 @@ TEST_F(BaselineTest, GandivaGrowsJobsNearTheirExistingGpus) {
   cluster_.Allocate(4, 0, 0, 100.0);
   cluster_.Allocate(5, 0, 0, 100.0);
   GandivaPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   ASSERT_EQ(apps_[0]->jobs[0].gpus.size(), 4u);
   // The second gang lands on the same machine (GPUs 6, 7).
   EXPECT_EQ(cluster_.topology().SpanLevel(apps_[0]->jobs[0].gpus),
@@ -126,7 +127,7 @@ TEST_F(BaselineTest, GandivaIsWorkConserving) {
   for (AppId i = 0; i < 4; ++i)
     apps_.push_back(MakeApp(i, 0.0, {MakeJobSpec(40.0, 1, 4)}));
   GandivaPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(cluster_.num_free(), 0);
 }
 
@@ -137,7 +138,7 @@ TEST_F(BaselineTest, SlaqPrefersSteeperLossCurves) {
   // Single gang available.
   for (GpuId g = 4; g < 16; ++g) cluster_.Allocate(g, 99, 0, 100.0);
   SlaqPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[1]->GpusHeld(), 4);
   EXPECT_EQ(apps_[0]->GpusHeld(), 0);
 }
@@ -148,18 +149,18 @@ TEST_F(BaselineTest, SlaqStillServesConvergedJobsWhenUncontested) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 4)}));
   apps_[0]->jobs[0].done = 39.99;
   SlaqPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[0]->GpusHeld(), 4);
 }
 
 TEST_F(BaselineTest, AllBaselinesHonorGangGranularity) {
-  for (auto make : {+[]() -> std::unique_ptr<ISchedulerPolicy> {
+  for (auto make : {+[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<GandivaPolicy>();
                     },
-                    +[]() -> std::unique_ptr<ISchedulerPolicy> {
+                    +[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<TiresiasPolicy>();
                     },
-                    +[]() -> std::unique_ptr<ISchedulerPolicy> {
+                    +[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<SlaqPolicy>();
                     }}) {
     Cluster cluster(ClusterSpec::Uniform(1, 1, 4, 2));
@@ -167,9 +168,9 @@ TEST_F(BaselineTest, AllBaselinesHonorGangGranularity) {
     AppList list{app.get()};
     WorkEstimator est({});
     Rng rng(1);
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    RhoIndex index;
     auto policy = make();
-    policy->Schedule(cluster.FreeGpus(), ctx);
+    harness::DriveRound(*policy, cluster, est, list, rng, index, list);
     // 4 free GPUs, 3-GPU gangs: exactly one gang granted.
     EXPECT_EQ(app->GpusHeld(), 3) << policy->name();
   }
@@ -185,7 +186,7 @@ TEST_F(BaselineTest, DrfServesSmallestInstantaneousShareFirst) {
   // Only one more gang free.
   for (GpuId g = 8; g < 16; ++g) cluster_.Allocate(g, 99, 0, 100.0);
   DrfPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[1]->GpusHeld(), 4);  // the zero-share app wins
   EXPECT_EQ(apps_[0]->GpusHeld(), 4);
 }
@@ -194,7 +195,7 @@ TEST_F(BaselineTest, DrfEqualizesSharesRoundRobin) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 2, 4)}));
   apps_.push_back(MakeApp(1, 0.0, {MakeJobSpec(40.0, 2, 4)}));
   DrfPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[0]->GpusHeld(), 8);
   EXPECT_EQ(apps_[1]->GpusHeld(), 8);
 }
@@ -204,7 +205,7 @@ TEST_F(BaselineTest, DrfIsPlacementUnaware) {
   for (GpuId g = 0; g < 16; ++g)
     if (g % 4 != 3) cluster_.Allocate(g, 99, 0, 100.0);
   DrfPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   ASSERT_EQ(apps_[0]->jobs[0].gpus.size(), 4u);
   EXPECT_EQ(cluster_.topology().SpanLevel(apps_[0]->jobs[0].gpus),
             LocalityLevel::kCrossRack);

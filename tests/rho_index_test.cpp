@@ -1,11 +1,13 @@
-// Tests for core/rho_index.h: the maintained filter index behind
-// ThemisConfig::incremental_filter must be pinned bit-identical to the
-// literal probe-everything filter (results, fingerprints, diagnostics)
-// across every policy, both engines, failures, heterogeneous generations,
-// noisy estimation and streamed traces; the index itself must agree with a
-// from-scratch classification after arbitrary event sequences; and the
-// indexed participant cut must reproduce the comparator's tie-break chain
-// exactly.
+// Tests for core/rho_index.h and ThemisPolicy's filter over it. Whole runs
+// through ThemisPolicy (which reads the maintained index) must be
+// bit-identical to runs through the literal probe-everything filter in
+// tests/filter_oracle.h — results, fingerprints, diagnostics — on both
+// engines and under failures, heterogeneous generations, noisy estimation,
+// streamed traces and either tie-break chain. Every round of those runs
+// also audits the simulator's index against a from-scratch classification
+// of the round's active apps; the index alone must agree with that
+// classification after arbitrary event sequences; and the indexed
+// participant cut must reproduce the comparator's tie-break chain exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,8 @@
 
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "filter_oracle.h"
+#include "round_driver.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -23,42 +27,130 @@ namespace themis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bit-identical equivalence: indexed vs. recompute filter, whole experiments.
+// The index against a from-scratch classification.
 // ---------------------------------------------------------------------------
 
-void ExpectSameExperiment(const ExperimentResult& a,
-                          const ExperimentResult& b) {
-  EXPECT_EQ(a.max_fairness, b.max_fairness);
-  EXPECT_EQ(a.median_fairness, b.median_fairness);
-  EXPECT_EQ(a.min_fairness, b.min_fairness);
-  EXPECT_EQ(a.jains_index, b.jains_index);
-  EXPECT_EQ(a.avg_completion_time, b.avg_completion_time);
-  EXPECT_EQ(a.gpu_time, b.gpu_time);
+// From-scratch reference: classify every app and order each class exactly as
+// the index contract promises.
+void ExpectIndexMatchesBruteForce(const RhoIndex& index,
+                                  const std::vector<AppState*>& apps,
+                                  bool short_tiebreak) {
+  std::vector<const AppState*> want_holders;
+  std::vector<const AppState*> want_unbounded;
+  for (const AppState* app : apps) {
+    if (!app->arrived || app->finished) continue;
+    bool holds = false;
+    for (const JobState& job : app->jobs)
+      if (!job.gpus.empty()) holds = true;
+    if (holds)
+      want_holders.push_back(app);
+    else if (app->UnmetDemand() > 0)
+      want_unbounded.push_back(app);
+  }
+  std::sort(want_holders.begin(), want_holders.end(),
+            [](const AppState* a, const AppState* b) { return a->id < b->id; });
+  std::sort(want_unbounded.begin(), want_unbounded.end(),
+            [short_tiebreak](const AppState* a, const AppState* b) {
+              if (short_tiebreak && a->ideal_time != b->ideal_time)
+                return a->ideal_time < b->ideal_time;
+              return a->id < b->id;
+            });
+
+  ASSERT_EQ(index.holders().size(), want_holders.size());
+  for (std::size_t i = 0; i < want_holders.size(); ++i)
+    EXPECT_EQ(index.holders()[i], want_holders[i]) << "holder " << i;
+  ASSERT_EQ(index.num_unbounded(), want_unbounded.size());
+  std::size_t i = 0;
+  for (const AppState* app : index.unbounded_candidates()) {
+    EXPECT_EQ(app, want_unbounded[i]) << "unbounded " << i;
+    // Contract: the index pins the class's last_rho to the probe constant.
+    EXPECT_EQ(app->last_rho, kUnboundedRho);
+    ++i;
+  }
+}
+
+/// Wraps the scheduler under test and, before each of its rounds, checks
+/// the context's index against a brute-force classification of
+/// ctx.apps() — the front end must hand every round an index in sync with
+/// every mutation since the last one.
+class IndexAuditor final : public IRoundScheduler {
+ public:
+  IndexAuditor(std::unique_ptr<IRoundScheduler> inner, long long* rounds)
+      : inner_(std::move(inner)), rounds_(rounds) {}
+
+  GrantSet RunRound(const ResourceOffer& offer,
+                    SchedulerContext& ctx) override {
+    EXPECT_NE(ctx.rho_index(), nullptr);
+    if (ctx.rho_index() != nullptr) {
+      ExpectIndexMatchesBruteForce(*ctx.rho_index(), ctx.apps(),
+                                   ctx.rho_index()->short_app_tiebreak());
+      ++*rounds_;
+    }
+    return inner_->RunRound(offer, ctx);
+  }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<IRoundScheduler> inner_;
+  long long* rounds_;
+};
+
+// ---------------------------------------------------------------------------
+// Bit-identical equivalence: ThemisPolicy vs. the literal-filter oracle,
+// whole simulator runs.
+// ---------------------------------------------------------------------------
+
+void ExpectSameRun(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.metrics.MaxFairness(), b.metrics.MaxFairness());
+  EXPECT_EQ(a.metrics.MedianFairness(), b.metrics.MedianFairness());
+  EXPECT_EQ(a.metrics.MinFairness(), b.metrics.MinFairness());
+  EXPECT_EQ(a.metrics.JainsFairnessIndex(), b.metrics.JainsFairnessIndex());
+  EXPECT_EQ(a.metrics.AverageCompletionTime(),
+            b.metrics.AverageCompletionTime());
+  EXPECT_EQ(a.metrics.TotalGpuTime(), b.metrics.TotalGpuTime());
+  EXPECT_EQ(a.metrics.auctions_run(), b.metrics.auctions_run());
+  EXPECT_EQ(a.metrics.MeanLeftoverFraction(), b.metrics.MeanLeftoverFraction());
   EXPECT_EQ(a.peak_contention, b.peak_contention);
-  EXPECT_EQ(a.unfinished_apps, b.unfinished_apps);
+  EXPECT_EQ(a.unfinished, b.unfinished);
+  EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.machine_failures, b.machine_failures);
+  EXPECT_EQ(a.gpu_leases_revoked_by_failures,
+            b.gpu_leases_revoked_by_failures);
   EXPECT_EQ(a.scheduling_passes, b.scheduling_passes);
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.rounds_executed, b.rounds_executed);
   EXPECT_EQ(a.sim_time_advances, b.sim_time_advances);
-  EXPECT_EQ(a.finished_apps, b.finished_apps);
-  EXPECT_EQ(a.rhos, b.rhos);
-  EXPECT_EQ(a.completion_times, b.completion_times);
-  EXPECT_EQ(a.placement_scores, b.placement_scores);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].time, b.timeline[i].time);
-    EXPECT_EQ(a.timeline[i].app, b.timeline[i].app);
-    EXPECT_EQ(a.timeline[i].gpus, b.timeline[i].gpus);
+  EXPECT_EQ(a.total_apps, b.total_apps);
+  EXPECT_EQ(a.peak_live_apps, b.peak_live_apps);
+  // Per-app records in finish order: same apps finishing in the same order
+  // with the same rho, completion time and placement score.
+  const std::vector<AppRecord>& ra = a.metrics.apps();
+  const std::vector<AppRecord>& rb = b.metrics.apps();
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].app, rb[i].app) << "record " << i;
+    EXPECT_EQ(ra[i].Rho(), rb[i].Rho()) << "record " << i;
+    EXPECT_EQ(ra[i].CompletionTime(), rb[i].CompletionTime()) << "record " << i;
+    EXPECT_EQ(ra[i].mean_placement_score, rb[i].mean_placement_score)
+        << "record " << i;
+    EXPECT_EQ(ra[i].attained_service, rb[i].attained_service)
+        << "record " << i;
+  }
+  const std::vector<AllocationSample>& ta = a.metrics.timeline();
+  const std::vector<AllocationSample>& tb = b.metrics.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].time, tb[i].time);
+    EXPECT_EQ(ta[i].app, tb[i].app);
+    EXPECT_EQ(ta[i].gpus, tb[i].gpus);
   }
 }
 
 // Contended mixed workload (multi-job tuned apps, overlapping lifetimes,
-// restarts): everything that can make the two filter paths diverge.
-ExperimentConfig ContendedConfig(PolicyKind policy) {
+// restarts): everything that can make the two filters diverge.
+ExperimentConfig ContendedConfig() {
   ExperimentConfig config;
   config.cluster = ClusterSpec::Uniform(2, 4, 4, 2);
-  config.policy = policy;
   config.trace.seed = 33;
   config.trace.num_apps = 25;
   config.trace.jobs_per_app_median = 6.0;
@@ -67,50 +159,62 @@ ExperimentConfig ContendedConfig(PolicyKind policy) {
   return config;
 }
 
-ExperimentResult RunWithFilter(ExperimentConfig config, bool incremental) {
-  config.themis.incremental_filter = incremental;
-  return RunExperiment(config);
-}
-
-class FilterEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<PolicyKind, SimEngine>> {};
-
-TEST_P(FilterEquivalenceTest, IndexedMatchesRecomputeBitForBit) {
-  ExperimentConfig config = ContendedConfig(std::get<0>(GetParam()));
-  config.sim.engine = std::get<1>(GetParam());
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
-  EXPECT_EQ(indexed.unfinished_apps, 0);
+/// Run `config`'s workload once through ThemisPolicy (every round audited)
+/// and once through the literal-filter oracle, and require identical runs.
+/// `streamed` replays the trace through a TraceReader with retirement on.
+/// Returns the ThemisPolicy run.
+SimResult ExpectIndexedMatchesOracle(const ExperimentConfig& config,
+                                     bool streamed = false) {
+  const std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+  auto run = [&](std::unique_ptr<IRoundScheduler> scheduler) {
+    if (!streamed)
+      return Simulator(config.cluster, apps, std::move(scheduler), config.sim)
+          .Run();
+    SimConfig sim = config.sim;
+    sim.arrival_lookahead_minutes = 30.0;
+    sim.retire_finished_apps = true;
+    return Simulator(config.cluster,
+                     std::make_unique<VectorTraceReader>(apps),
+                     std::move(scheduler), sim)
+        .Run();
+  };
+  long long audited = 0;
+  const SimResult indexed = run(std::make_unique<IndexAuditor>(
+      std::make_unique<ThemisPolicy>(config.themis), &audited));
+  const SimResult literal =
+      run(std::make_unique<oracle::LiteralFilterPolicy>(config.themis));
+  ExpectSameRun(indexed, literal);
+  EXPECT_TRUE(indexed.unfinished.empty());
   EXPECT_GT(indexed.rounds_executed, 0);
+  EXPECT_EQ(audited, indexed.rounds_executed);
+  EXPECT_EQ(indexed.total_apps, apps.size());
+  return indexed;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesTimesEngines, FilterEquivalenceTest,
-    ::testing::Combine(::testing::Values(PolicyKind::kThemis,
-                                         PolicyKind::kGandiva,
-                                         PolicyKind::kTiresias,
-                                         PolicyKind::kSlaq, PolicyKind::kDrf),
-                       ::testing::Values(SimEngine::kEventDriven,
-                                         SimEngine::kPassStepped)));
+class FilterEquivalenceTest : public ::testing::TestWithParam<SimEngine> {};
+
+TEST_P(FilterEquivalenceTest, IndexedMatchesOracleBitForBit) {
+  ExperimentConfig config = ContendedConfig();
+  config.sim.engine = GetParam();
+  ExpectIndexedMatchesOracle(config);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, FilterEquivalenceTest,
+                         ::testing::Values(SimEngine::kEventDriven,
+                                           SimEngine::kPassStepped));
 
 TEST(FilterEquivalence, HoldsUnderMachineFailures) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  ExperimentConfig config = ContendedConfig();
   config.sim.machine_mtbf_minutes = 300.0;
   config.sim.machine_repair_minutes = 45.0;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  EXPECT_GT(indexed.machine_failures, 0);
-  ExpectSameExperiment(indexed, recompute);
+  EXPECT_GT(ExpectIndexedMatchesOracle(config).machine_failures, 0);
 }
 
 TEST(FilterEquivalence, HoldsOnHeterogeneousGenerations) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  ExperimentConfig config = ContendedConfig();
   ApplyGenerationMix(config.cluster,
                      ParseGenerationMix("K80:0.25,V100:0.5,A100:0.25"));
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectIndexedMatchesOracle(config);
 }
 
 TEST(FilterEquivalence, HoldsUnderNoisyEstimation) {
@@ -119,37 +223,20 @@ TEST(FilterEquivalence, HoldsUnderNoisyEstimation) {
   // scan — any skipped or reordered probe desynchronizes every downstream
   // random decision. Gangless apps make zero estimator calls, which is what
   // makes "probe holders ascending id" the exact sequence.
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  ExperimentConfig config = ContendedConfig();
   config.sim.estimator.mode = EstimationMode::kNoisy;
   config.sim.estimator.theta = 0.15;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectIndexedMatchesOracle(config);
 }
 
 TEST(FilterEquivalence, HoldsOnStreamedTraces) {
-  const ExperimentConfig base = ContendedConfig(PolicyKind::kThemis);
-  const auto apps = TraceGenerator(base.trace).Generate();
-  auto run = [&](bool incremental) {
-    ExperimentConfig config = base;
-    config.themis.incremental_filter = incremental;
-    config.sim.arrival_lookahead_minutes = 30.0;
-    config.sim.retire_finished_apps = true;
-    return RunStreamingExperiment(config,
-                                  std::make_unique<VectorTraceReader>(apps));
-  };
-  const ExperimentResult indexed = run(true);
-  const ExperimentResult recompute = run(false);
-  ExpectSameExperiment(indexed, recompute);
-  EXPECT_EQ(indexed.total_apps, apps.size());
+  ExpectIndexedMatchesOracle(ContendedConfig(), /*streamed=*/true);
 }
 
 TEST(FilterEquivalence, HoldsWithShortAppTiebreakOff) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  ExperimentConfig config = ContendedConfig();
   config.themis.short_app_tiebreak = false;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectIndexedMatchesOracle(config);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,43 +271,10 @@ std::unique_ptr<AppState> PropApp(AppId id, double ideal_time, int jobs) {
   return app;
 }
 
-// From-scratch reference: classify every app and order each class exactly as
-// the index contract promises.
-void ExpectIndexMatchesBruteForce(
-    const RhoIndex& index, const std::vector<std::unique_ptr<AppState>>& apps,
-    bool short_tiebreak) {
-  std::vector<const AppState*> want_holders;
-  std::vector<const AppState*> want_unbounded;
-  for (const auto& app : apps) {
-    if (!app->arrived || app->finished) continue;
-    bool holds = false;
-    for (const JobState& job : app->jobs)
-      if (!job.gpus.empty()) holds = true;
-    if (holds)
-      want_holders.push_back(app.get());
-    else if (app->UnmetDemand() > 0)
-      want_unbounded.push_back(app.get());
-  }
-  std::sort(want_holders.begin(), want_holders.end(),
-            [](const AppState* a, const AppState* b) { return a->id < b->id; });
-  std::sort(want_unbounded.begin(), want_unbounded.end(),
-            [short_tiebreak](const AppState* a, const AppState* b) {
-              if (short_tiebreak && a->ideal_time != b->ideal_time)
-                return a->ideal_time < b->ideal_time;
-              return a->id < b->id;
-            });
-
-  ASSERT_EQ(index.holders().size(), want_holders.size());
-  for (std::size_t i = 0; i < want_holders.size(); ++i)
-    EXPECT_EQ(index.holders()[i], want_holders[i]) << "holder " << i;
-  ASSERT_EQ(index.num_unbounded(), want_unbounded.size());
-  std::size_t i = 0;
-  for (const AppState* app : index.unbounded_candidates()) {
-    EXPECT_EQ(app, want_unbounded[i]) << "unbounded " << i;
-    // Contract: the index pins the class's last_rho to the probe constant.
-    EXPECT_EQ(app->last_rho, kUnboundedRho);
-    ++i;
-  }
+std::vector<AppState*> Raw(const std::vector<std::unique_ptr<AppState>>& apps) {
+  std::vector<AppState*> out;
+  for (const auto& app : apps) out.push_back(app.get());
+  return out;
 }
 
 TEST(RhoIndexProperty, AgreesWithBruteForceAfterRandomEventSequence) {
@@ -236,7 +290,7 @@ TEST(RhoIndexProperty, AgreesWithBruteForceAfterRandomEventSequence) {
     apps.back()->arrived = (id % 2 == 0);
     index.Update(apps.back().get());
   }
-  ExpectIndexMatchesBruteForce(index, apps, true);
+  ExpectIndexMatchesBruteForce(index, Raw(apps), true);
 
   GpuId next_gpu = 0;
   for (int step = 0; step < 2000; ++step) {
@@ -268,9 +322,9 @@ TEST(RhoIndexProperty, AgreesWithBruteForceAfterRandomEventSequence) {
         break;
     }
     index.Update(app);
-    if (step % 100 == 99) ExpectIndexMatchesBruteForce(index, apps, true);
+    if (step % 100 == 99) ExpectIndexMatchesBruteForce(index, Raw(apps), true);
   }
-  ExpectIndexMatchesBruteForce(index, apps, true);
+  ExpectIndexMatchesBruteForce(index, Raw(apps), true);
 }
 
 TEST(RhoIndexProperty, SetTiebreakReordersTheUnboundedClass) {
@@ -281,24 +335,26 @@ TEST(RhoIndexProperty, SetTiebreakReordersTheUnboundedClass) {
     apps.push_back(PropApp(id, 10.0 - static_cast<double>(id), 1));
     index.Update(apps.back().get());
   }
-  ExpectIndexMatchesBruteForce(index, apps, true);
+  ExpectIndexMatchesBruteForce(index, Raw(apps), true);
   index.SetTiebreak(false);
-  ExpectIndexMatchesBruteForce(index, apps, false);
+  ExpectIndexMatchesBruteForce(index, Raw(apps), false);
   index.SetTiebreak(true);
-  ExpectIndexMatchesBruteForce(index, apps, true);
+  ExpectIndexMatchesBruteForce(index, Raw(apps), true);
 }
 
 // ---------------------------------------------------------------------------
 // Tie-break-chain exactness through the policy's indexed cut.
 // ---------------------------------------------------------------------------
 
-// Two identical worlds, one scheduled through the index, one through the
-// literal scan; both legacy contexts, same RNG seed.
+// Two identical worlds, one scheduled by ThemisPolicy, one by the
+// literal-filter oracle; same RNG seed, both driven through the round
+// driver (which keeps each world's index in sync).
 struct World {
   World() : cluster(ClusterSpec::Uniform(2, 2, 4, 2)), est({}), rng(7) {}
   Cluster cluster;
   WorkEstimator est;
   Rng rng;
+  RhoIndex index;
   std::vector<std::unique_ptr<AppState>> apps;
 
   void AddApp(AppId id, double ideal_time) {
@@ -306,16 +362,10 @@ struct World {
     apps.back()->ideal_time = ideal_time;
   }
 
-  GrantSet Schedule(ThemisConfig cfg, RhoIndex* index) {
-    AppList list;
-    for (auto& app : apps) list.push_back(app.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
-    if (index != nullptr) {
-      for (auto& app : apps) index->Update(app.get());
-      ctx.set_rho_index(index);
-    }
-    ThemisPolicy policy(cfg);
-    return policy.Schedule(cluster.FreeGpus(), ctx);
+  GrantSet RunOneRound(IRoundScheduler& scheduler) {
+    AppList list = Raw(apps);
+    return harness::DriveRound(scheduler, cluster, est, list, rng, index,
+                               list);
   }
 };
 
@@ -337,7 +387,7 @@ void ExpectSameGrants(const GrantSet& a, const GrantSet& b) {
 
 // All-unbounded population with colliding and distinct ideal times: the cut
 // must follow (ideal_time asc, id asc) exactly when short_app_tiebreak is
-// set, and (id asc) when it is not — in both paths.
+// set, and (id asc) when it is not — in both filters.
 TEST(TiebreakExactness, IndexedCutMatchesLiteralCutOnPureTies) {
   for (const bool short_tiebreak : {true, false}) {
     World indexed, literal;
@@ -349,9 +399,10 @@ TEST(TiebreakExactness, IndexedCutMatchesLiteralCutOnPureTies) {
     ThemisConfig cfg;
     cfg.fairness_knob = 0.9;  // ceil(0.1 * 8) = 1 participant: the head app
     cfg.short_app_tiebreak = short_tiebreak;
-    RhoIndex index;
-    const GrantSet a = indexed.Schedule(cfg, &index);
-    const GrantSet b = literal.Schedule(cfg, nullptr);
+    ThemisPolicy policy(cfg);
+    oracle::LiteralFilterPolicy reference(cfg);
+    const GrantSet a = indexed.RunOneRound(policy);
+    const GrantSet b = literal.RunOneRound(reference);
     ExpectSameGrants(a, b);
     EXPECT_EQ(a.diagnostics.auction_participants, 1);
     // The auction's grant (staged before any leftovers) goes to the
@@ -383,9 +434,10 @@ TEST(TiebreakExactness, MergePlacesBoundedHoldersExactly) {
     }
     ThemisConfig cfg;
     cfg.fairness_knob = knob;
-    RhoIndex index;
-    const GrantSet a = indexed.Schedule(cfg, &index);
-    const GrantSet b = literal.Schedule(cfg, nullptr);
+    ThemisPolicy policy(cfg);
+    oracle::LiteralFilterPolicy reference(cfg);
+    const GrantSet a = indexed.RunOneRound(policy);
+    const GrantSet b = literal.RunOneRound(reference);
     ExpectSameGrants(a, b);
   }
 }

@@ -218,6 +218,9 @@ TEST(Scenario, UnknownKeysFailLoudly) {
   EXPECT_THROW(LoadScenarios(R"({"scenarios": []})"), std::runtime_error);
   EXPECT_THROW(LoadScenarios(R"({"scenarios": [{"name": "a",
       "policy": "nope"}]})"), std::runtime_error);
+  // The Themis filter has one path; there is no switch to select another.
+  EXPECT_THROW(LoadScenarios(R"({"scenarios": [{"name": "a",
+      "themis": {"incremental_filter": false}}]})"), std::runtime_error);
 }
 
 TEST(Scenario, RejectsInvalidSeedsAndPresetDimensionMix) {

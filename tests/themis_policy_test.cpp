@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/themis_policy.h"
 #include "placement_oracle.h"
+#include "round_driver.h"
 
 namespace themis {
 namespace {
@@ -113,23 +115,24 @@ class ThemisPolicyTest : public ::testing::Test {
   ThemisPolicyTest()
       : cluster_(ClusterSpec::Uniform(2, 2, 4, 2)), est_({}), rng_(1) {}
 
-  GrantSet Schedule(ThemisPolicy& policy, Time now = 0.0) {
+  GrantSet RunOneRound(ThemisPolicy& policy, Time now = 0.0) {
     AppList list;
     for (auto& app : apps_) list.push_back(app.get());
-    SchedulerContext ctx(now, &cluster_, &est_, /*lease=*/20.0, &list, &rng_);
-    return policy.Schedule(cluster_.FreeGpus(), ctx);
+    return harness::DriveRound(policy, cluster_, est_, list, rng_, index_,
+                               list, now);
   }
 
   Cluster cluster_;
   WorkEstimator est_;
   Rng rng_;
+  RhoIndex index_;
   std::vector<std::unique_ptr<AppState>> apps_;
 };
 
 TEST_F(ThemisPolicyTest, SingleAppGetsItsFullDemand) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 2, 4)}));
   ThemisPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[0]->GpusHeld(), 8);
   EXPECT_EQ(cluster_.num_allocated(), 8);
 }
@@ -137,7 +140,7 @@ TEST_F(ThemisPolicyTest, SingleAppGetsItsFullDemand) {
 TEST_F(ThemisPolicyTest, GrantsAreLeasedToTheRightJob) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 4)}));
   ThemisPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   const auto held = cluster_.GpusHeldBy(0, 0);
   EXPECT_EQ(held.size(), 4u);
   for (GpuId g : held) EXPECT_EQ(cluster_.lease(g)->expiry, 20.0);
@@ -157,7 +160,7 @@ TEST_F(ThemisPolicyTest, WorstRhoAppWinsUnderContention) {
   ThemisConfig cfg;
   cfg.fairness_knob = 0.8;
   ThemisPolicy policy(cfg);
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[1]->GpusHeld(), 4);  // full demand of the starved app
 }
 
@@ -169,7 +172,7 @@ TEST_F(ThemisPolicyTest, WorkConservationFillsLeftoverDemand) {
   ThemisConfig cfg;
   cfg.fairness_knob = 0.9;
   ThemisPolicy policy(cfg);
-  Schedule(policy);
+  RunOneRound(policy);
   int held = 0;
   for (auto& app : apps_) held += app->GpusHeld();
   EXPECT_EQ(held, 16);
@@ -185,7 +188,7 @@ TEST_F(ThemisPolicyTest, LeftoverGoesToNonParticipantsFirst) {
   ThemisConfig cfg;
   cfg.fairness_knob = 0.5;
   ThemisPolicy policy(cfg);
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[0]->GpusHeld() + apps_[1]->GpusHeld(), 8);
   EXPECT_GT(apps_[0]->GpusHeld(), 0);
   EXPECT_GT(apps_[1]->GpusHeld(), 0);
@@ -199,7 +202,7 @@ TEST_F(ThemisPolicyTest, FairnessKnobControlsParticipantCount) {
   ThemisConfig cfg;
   cfg.fairness_knob = 0.75;
   ThemisPolicy policy(cfg);
-  Schedule(policy);
+  RunOneRound(policy);
   for (auto& app : apps_) EXPECT_GT(app->last_rho, 0.0);
   // All demand fits (4 apps x 2 GPUs = 8 <= 16): work conservation feeds
   // non-participants too.
@@ -212,7 +215,7 @@ TEST_F(ThemisPolicyTest, NoDemandNoGrants) {
   cluster_.Allocate(0, 0, 0, 20.0);
   cluster_.Allocate(1, 0, 0, 20.0);
   ThemisPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   EXPECT_EQ(apps_[0]->GpusHeld(), 2);
   EXPECT_EQ(cluster_.num_allocated(), 2);
 }
@@ -220,7 +223,7 @@ TEST_F(ThemisPolicyTest, NoDemandNoGrants) {
 TEST_F(ThemisPolicyTest, PlacementSensitiveAppGetsColocatedGang) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 4, "VGG16")}));
   ThemisPolicy policy;
-  Schedule(policy);
+  RunOneRound(policy);
   const auto& gpus = apps_[0]->jobs[0].gpus;
   ASSERT_EQ(gpus.size(), 4u);
   EXPECT_LE(static_cast<int>(cluster_.topology().SpanLevel(gpus)),
@@ -237,9 +240,9 @@ TEST_F(ThemisPolicyTest, DeterministicAcrossIdenticalRuns) {
     Rng rng(7);
     AppList list;
     for (auto& a : apps) list.push_back(a.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    RhoIndex index;
     ThemisPolicy policy;
-    policy.Schedule(cluster.FreeGpus(), ctx);
+    harness::DriveRound(policy, cluster, est, list, rng, index, list);
     std::vector<std::vector<GpuId>> out;
     for (auto& a : apps) out.push_back(cluster.GpusHeldBy(a->id));
     return out;
@@ -247,10 +250,23 @@ TEST_F(ThemisPolicyTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST_F(ThemisPolicyTest, ContextWithoutAnIndexIsRejected) {
+  // The filter has one path, the maintained RhoIndex; a context built
+  // without one is a caller bug, not a request for a full scan.
+  apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 2)}));
+  AppList list{apps_[0].get()};
+  const ResourceOffer offer = MakeOffer(0, 0.0, 20.0, cluster_);
+  SchedulerContext ctx(offer, &cluster_, &est_, &list, &rng_,
+                       /*rho_index=*/nullptr);
+  ThemisPolicy policy;
+  EXPECT_THROW(policy.RunRound(offer, ctx), std::invalid_argument);
+  EXPECT_EQ(apps_[0]->GpusHeld(), 0);
+}
+
 TEST_F(ThemisPolicyTest, RoundDiagnosticsReportTheAuction) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 2)}));
   ThemisPolicy policy;
-  const GrantSet grants = Schedule(policy);
+  const GrantSet grants = RunOneRound(policy);
   EXPECT_TRUE(grants.diagnostics.auction_ran);
   EXPECT_EQ(grants.diagnostics.auction_participants, 1);
   EXPECT_EQ(grants.diagnostics.offered_gpus, 16);
@@ -264,10 +280,10 @@ TEST_F(ThemisPolicyTest, DiagnosticsResetEveryRound) {
   // policy instance was reused; per-round GrantSet diagnostics must not.
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 2)}));
   ThemisPolicy policy;
-  const GrantSet first = Schedule(policy);
+  const GrantSet first = RunOneRound(policy);
   EXPECT_EQ(first.diagnostics.granted_gpus, 2);
   // Demand met: the next round offers the remaining 14 GPUs, grants none.
-  const GrantSet second = Schedule(policy);
+  const GrantSet second = RunOneRound(policy);
   EXPECT_EQ(second.diagnostics.offered_gpus, 14);
   EXPECT_EQ(second.diagnostics.granted_gpus, 0);
   EXPECT_FALSE(second.diagnostics.auction_ran);
@@ -288,12 +304,13 @@ RoundDiagnostics ContestedAuction(const PaConfig& pa) {
   Rng rng(7);
   AppList list;
   for (auto& a : apps) list.push_back(a.get());
-  SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+  RhoIndex index;
   ThemisConfig cfg;
   cfg.fairness_knob = 0.0;
   cfg.pa = pa;
   ThemisPolicy policy(cfg);
-  const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+  const GrantSet grants =
+      harness::DriveRound(policy, cluster, est, list, rng, index, list);
   EXPECT_TRUE(grants.diagnostics.auction_ran);
   EXPECT_EQ(grants.diagnostics.auction_participants, 4);
   return grants.diagnostics;
@@ -358,7 +375,8 @@ TEST(AllocateLeftovers, CandidateDroppingOutMidPhaseMatchesFullRescan) {
     Rng rng(seed);
     AppList list;
     for (auto& a : apps) list.push_back(a.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    SchedulerContext ctx(MakeOffer(0, 0.0, 20.0, cluster), &cluster, &est,
+                         &list, &rng, /*rho_index=*/nullptr);
     const Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
     if (rescan)
       RescanLeftovers(ctx, agent, {});
