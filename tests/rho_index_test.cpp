@@ -240,6 +240,49 @@ TEST(FilterEquivalence, HoldsWithShortAppTiebreakOff) {
 }
 
 // ---------------------------------------------------------------------------
+// The simulator's index under every policy: whichever scheduler mutates the
+// apps, each round's index matches a brute-force classification, and the
+// audit leaves the run bit-identical to an unaudited one.
+// ---------------------------------------------------------------------------
+
+class IndexAuditTest
+    : public ::testing::TestWithParam<std::tuple<PolicyKind, SimEngine>> {};
+
+TEST_P(IndexAuditTest, EveryRoundSeesAnIndexInSyncWithItsApps) {
+  const PolicyKind kind = std::get<0>(GetParam());
+  ExperimentConfig config = ContendedConfig();
+  config.sim.engine = std::get<1>(GetParam());
+  const std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+  long long audited = 0;
+  const SimResult run =
+      Simulator(config.cluster, apps,
+                std::make_unique<IndexAuditor>(MakePolicy(kind, config.themis),
+                                               &audited),
+                config.sim)
+          .Run();
+  const SimResult plain = Simulator(config.cluster, apps,
+                                    MakePolicy(kind, config.themis), config.sim)
+                              .Run();
+  ExpectSameRun(run, plain);
+  EXPECT_GT(run.rounds_executed, 0);
+  EXPECT_EQ(audited, run.rounds_executed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesTimesEngines, IndexAuditTest,
+    ::testing::Combine(::testing::Values(PolicyKind::kThemis,
+                                         PolicyKind::kGandiva,
+                                         PolicyKind::kTiresias,
+                                         PolicyKind::kSlaq, PolicyKind::kDrf),
+                       ::testing::Values(SimEngine::kEventDriven,
+                                         SimEngine::kPassStepped)),
+    [](const ::testing::TestParamInfo<IndexAuditTest::ParamType>& info) {
+      return std::string(ToString(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == SimEngine::kEventDriven ? "_event"
+                                                                 : "_pass");
+    });
+
+// ---------------------------------------------------------------------------
 // Dirty-tracking property: after any event sequence, the index agrees with a
 // from-scratch classification and ordering.
 // ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@
 //   - Staging: RunRound never touches the cluster; ApplyGrants is the single
 //     lease-application path and rejects double application.
 //   - Simulator plumbing: per-round diagnostics and the round observer.
+//   - Grant streams: under every policy, each applied GrantSet names live
+//     jobs and leases offered GPUs to them exactly once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
@@ -198,6 +202,53 @@ TEST(RoundProtocol, RoundObserverSeesEveryAppliedGrant) {
   EXPECT_GT(observed_rounds, 0);
   EXPECT_LE(observed_rounds, run.scheduling_passes);
   EXPECT_GT(observed_gpus, 0);
+}
+
+// The front ends read a round's (app, job) pairs from GrantSet::grants
+// alone. Under every policy each grant must name a live job and lease it
+// GPUs that were offered and granted nowhere else that round; once applied,
+// those GPUs sit on the job's gang, leased to it until the set's expiry.
+TEST(RoundProtocol, EveryPolicyGrantsOfferedGpusToLiveJobs) {
+  for (PolicyKind kind : {PolicyKind::kThemis, PolicyKind::kGandiva,
+                          PolicyKind::kTiresias, PolicyKind::kSlaq,
+                          PolicyKind::kDrf}) {
+    ExperimentConfig config = SimScaleConfig(kind, 7, 20);
+    config.trace.contention_factor = 2.0;
+    TraceGenerator gen(config.trace);
+    Simulator sim(config.cluster, gen.Generate(),
+                  MakePolicy(kind, config.themis), config.sim);
+    long long grants_seen = 0;
+    sim.set_round_observer(
+        [&](const ResourceOffer& offer, const GrantSet& grants) {
+          EXPECT_EQ(grants.round_id, offer.round_id);
+          EXPECT_EQ(grants.lease_expiry, offer.time + offer.lease_duration);
+          const std::set<GpuId> offered(offer.gpus.begin(), offer.gpus.end());
+          std::set<GpuId> granted;
+          for (const Grant& g : grants.grants) {
+            ++grants_seen;
+            EXPECT_FALSE(g.gpus.empty());
+            ASSERT_LT(g.app, sim.apps().size());
+            const AppState& app = *sim.apps()[g.app];
+            EXPECT_TRUE(app.arrived && !app.finished) << "app " << g.app;
+            ASSERT_LT(g.job, app.jobs.size());
+            const JobState& job = app.jobs[g.job];
+            for (GpuId gpu : g.gpus) {
+              EXPECT_EQ(offered.count(gpu), 1u) << "GPU " << gpu;
+              EXPECT_TRUE(granted.insert(gpu).second) << "GPU " << gpu;
+              EXPECT_NE(std::find(job.gpus.begin(), job.gpus.end(), gpu),
+                        job.gpus.end());
+              const std::optional<Lease>& lease = sim.cluster().lease(gpu);
+              ASSERT_TRUE(lease.has_value());
+              EXPECT_EQ(lease->app, g.app);
+              EXPECT_EQ(lease->job, g.job);
+              EXPECT_EQ(lease->expiry, grants.lease_expiry);
+            }
+          }
+          EXPECT_EQ(static_cast<int>(granted.size()), grants.TotalGpus());
+        });
+    sim.Run();
+    EXPECT_GT(grants_seen, 0) << ToString(kind);
+  }
 }
 
 }  // namespace
