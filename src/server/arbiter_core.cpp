@@ -199,24 +199,22 @@ RoundStart ArbiterCore::BeginRound() {
     }
   }
 
-  // 3. Reclaim expired leases.
-  std::map<std::pair<AppId, JobId>, bool> reclaimed;
+  // 3. Reclaim expired leases, snapshotting each touched gang before its
+  // first removal so FinishRound can tell a changed gang from a renewal.
+  reclaimed_before_.clear();
   for (GpuId g : cluster_.ExpiredGpus(now_)) {
     const Lease lease = *cluster_.lease(g);
     cluster_.Release(g);
     AppState* app = FindApp(lease.app);
     if (app != nullptr && lease.job < app->jobs.size()) {
       auto& gpus = app->jobs[lease.job].gpus;
+      reclaimed_before_.try_emplace({lease.app, lease.job}, gpus);
       gpus.erase(std::remove(gpus.begin(), gpus.end(), g), gpus.end());
-      reclaimed.try_emplace({lease.app, lease.job}, true);
     }
   }
-  for (const auto& [key, unused] : reclaimed) {
-    (void)unused;
-    if (AppState* app = FindApp(key.first)) {
-      ++app->jobs[key.second].alloc_version;
-      UpdateHolding(app);
-    }
+  for (const auto& [key, gang] : reclaimed_before_) {
+    (void)gang;
+    if (AppState* app = FindApp(key.first)) UpdateHolding(app);
   }
 
   // 4. Per-app tuner step: kills and parallelism caps.
@@ -263,25 +261,30 @@ GrantSet ArbiterCore::FinishRound(const ResourceOffer& offer) {
                        &rho_index_);
   GrantSet grants = scheduler_->RunRound(offer, ctx);
   ApplyGrants(grants, cluster_);
-
-  // Granted gangs strictly grew (reclamation already ran in BeginRound), so
-  // every granted job restarts from its checkpoint. Ascending (app, job)
-  // walk fixes the placement-score accumulation order.
-  std::map<std::pair<AppId, JobId>, bool> granted;
   for (const Grant& g : grants.grants)
-    granted.try_emplace({g.app, g.job}, true);
-  for (const auto& [key, unused] : granted) {
-    (void)unused;
+    if (AppState* app = FindApp(g.app)) UpdateHolding(app);
+
+  // Charge the restart overhead to every job whose gang changed this round
+  // (Sec. 8.3.2): reclaimed jobs carry their pre-reclaim gang, and granted
+  // gangs strictly grew, so a grant with no snapshot changed by
+  // construction. A gang renewed intact compares equal and stays free; a
+  // partly expired gang that shrank is charged. Ascending (app, job) walk
+  // fixes the placement-score accumulation order.
+  std::map<std::pair<AppId, JobId>, const std::vector<GpuId>*> touched;
+  for (const auto& [key, gang] : reclaimed_before_) touched[key] = &gang;
+  for (const Grant& g : grants.grants)
+    touched.try_emplace({g.app, g.job}, nullptr);
+  for (const auto& [key, before] : touched) {
     AppState* app = FindApp(key.first);
     if (app == nullptr || app->finished || key.second >= app->jobs.size())
       continue;
     JobState& job = app->jobs[key.second];
+    if (before != nullptr && *before == job.gpus) continue;
     ++job.alloc_version;
     if (!job.gpus.empty()) {
       job.resume_at = now_ + config_.restart_overhead_minutes;
       app->placement_scores.Add(PlacementScore(job.gpus, cluster_.topology()));
     }
-    UpdateHolding(app);
   }
 
   for (const Grant& g : grants.grants)

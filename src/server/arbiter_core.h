@@ -21,13 +21,16 @@
 //                   publish the ResourceOffer (if there is anything to
 //                   offer). No core mutation may happen between the halves.
 //   FinishRound() — run the policy's RunRound over the offer, apply the
-//                   grants (binding leases), charge restart overheads, and
-//                   fold the grants into the running GrantDigest.
+//                   grants (binding leases), charge restart overheads to
+//                   every job whose gang changed (an intact renewal is
+//                   free), and fold the grants into the running GrantDigest.
 // The in-process reference calls both back-to-back (RunOneRound).
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -125,6 +128,9 @@ class ArbiterCore {
   AppList holding_apps_;
   RhoIndex rho_index_;
   std::vector<JobView> views_scratch_;
+  /// Gangs as they stood before this round's lease reclamation, keyed by
+  /// (app, job); FinishRound charges restarts against them.
+  std::map<std::pair<AppId, JobId>, std::vector<GpuId>> reclaimed_before_;
   net::GrantDigest digest_;
   Time now_ = 0.0;
   Time last_advance_ = 0.0;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <poll.h>
 #include <string>
@@ -560,6 +561,64 @@ TEST(ArbiterCore, RunsAreDeterministic) {
   }
   EXPECT_TRUE(digests[0] == digests[1]);
   EXPECT_GT(digests[0].grants, 0);
+}
+
+AppSpec OneJobApp(double work, int num_tasks, int gpus_per_task) {
+  AppSpec app;
+  app.tuner = TunerKind::kNone;
+  app.target_loss = 0.1;
+  JobSpec job;
+  job.total_work = work;
+  job.total_iterations = 1000.0;
+  job.num_tasks = num_tasks;
+  job.gpus_per_task = gpus_per_task;
+  job.model = ModelByName("ResNet50");
+  job.loss = LossCurve(0.1 * std::pow(1001.0, 0.6), 0.6, 0.0);
+  app.jobs = {job};
+  return app;
+}
+
+TEST(ArbiterCore, LeaseRenewalAvoidsRestartOverhead) {
+  // The twin of Simulator.LeaseRenewalAvoidsRestartOverhead: work 100 on 4
+  // GPUs spans the 20-minute lease granted at t = 5. The lone app wins its
+  // own GPUs back at the t = 25 round, so only the first 0.75 stall applies.
+  server::ArbiterConfig config;
+  config.cluster = ClusterSpec::Uniform(1, 1, 4, 4);
+  config.lease_minutes = 20.0;
+  config.round_interval_minutes = 5.0;
+  server::ArbiterCore core(config);
+  const AppId id = core.RegisterApp(OneJobApp(100.0, 1, 4));
+  while (core.now() < 25.0) core.RunOneRound();
+  const JobState& job = core.app(id)->jobs[0];
+  EXPECT_EQ(job.gpus.size(), 4u);
+  EXPECT_DOUBLE_EQ(job.resume_at, 5.75);
+  // The renewed gang keeps training: the app converges by the t = 35
+  // boundary (it would under either restart rule).
+  while (core.now() < 35.0) core.RunOneRound();
+  EXPECT_EQ(core.apps_finished(), 1u);
+  EXPECT_DOUBLE_EQ(core.app(id)->finish_time, 35.0);
+}
+
+TEST(ArbiterCore, PartialExpiryShrinkIsCharged) {
+  // A (8-GPU max) holds two 4-GPU leases taken at t = 10 and t = 15. At
+  // t = 30 the first expires and LAS hands it to the newly registered C, so
+  // A's gang shrinks to 4 and is not regrown: a gang change, charged.
+  server::ArbiterConfig config;
+  config.cluster = ClusterSpec::Uniform(1, 1, 8, 8);
+  config.policy = PolicyKind::kTiresias;
+  config.lease_minutes = 20.0;
+  config.round_interval_minutes = 5.0;
+  server::ArbiterCore core(config);
+  core.RegisterApp(OneJobApp(20.0, 1, 4));  // t = 5 to its finish at t = 15
+  core.RunOneRound();
+  const AppId a = core.RegisterApp(OneJobApp(1000.0, 2, 4));
+  while (core.now() < 25.0) core.RunOneRound();
+  const AppId c = core.RegisterApp(OneJobApp(1000.0, 1, 4));
+  core.RunOneRound();
+  ASSERT_DOUBLE_EQ(core.now(), 30.0);
+  EXPECT_EQ(core.app(a)->jobs[0].gpus.size(), 4u);
+  EXPECT_EQ(core.app(c)->jobs[0].gpus.size(), 4u);
+  EXPECT_DOUBLE_EQ(core.app(a)->jobs[0].resume_at, 30.75);
 }
 
 TEST(ArbiterCore, RejectsMutationMidRound) {

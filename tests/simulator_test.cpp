@@ -83,6 +83,25 @@ TEST(Simulator, LeaseRenewalAvoidsRestartOverhead) {
   EXPECT_NEAR(r.metrics.apps()[0].finish, 25.75, 1e-6);
 }
 
+TEST(Simulator, PartialExpiryShrinkIsCharged) {
+  // A (8-GPU max) holds two 4-GPU leases taken at t = 1 and t = 5.75. At
+  // t = 21 the first expires and LAS hands it to the newly arrived C, so
+  // A's gang shrinks to 4 and is not regrown: a gang change, charged from
+  // the pass at t = 21 (Sec. 8.3.2).
+  SimConfig cfg = FastConfig();
+  cfg.max_time = 23.0;
+  Simulator sim(ClusterSpec::Uniform(1, 1, 8, 8),
+                {SingleJobApp(0.0, 20.0, 1, 4), SingleJobApp(1.0, 1000.0, 2, 4),
+                 SingleJobApp(21.0, 1000.0, 1, 4)},
+                MakePolicy(PolicyKind::kTiresias), cfg);
+  sim.Run();
+  const JobState& a = sim.apps()[1]->jobs[0];
+  const JobState& c = sim.apps()[2]->jobs[0];
+  EXPECT_EQ(a.gpus.size(), 4u);
+  EXPECT_EQ(c.gpus.size(), 4u);
+  EXPECT_DOUBLE_EQ(a.resume_at, 21.75);
+}
+
 TEST(Simulator, GpuTimeCountsHeldGpuMinutes) {
   Simulator sim(ClusterSpec::Uniform(1, 1, 4, 4),
                 {SingleJobApp(0.0, 40.0, 1, 4)},
