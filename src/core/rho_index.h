@@ -18,7 +18,11 @@
 // app. So the index keeps the gangless hungry apps ("unbounded candidates")
 // in a std::set ordered by the comparator's tie-break chain, updated only on
 // the events that can reclassify an app: grant/release/kill (any gang
-// mutation), tuner cap change (demand mutation), arrival, and finish. Apps
+// mutation), arrival, and finish. A tuner step that kills nothing is not
+// one of them: every stock tuner (HyperBand, HyperDrive, single-job) gives
+// each alive job it spares a cap >= gpus_per_task, so a gangless app with
+// an alive job keeps unmet demand and stays a candidate, and a holder's
+// class ignores demand (pinned by TunerCaps.SpareEveryLiveJobOneGang). Apps
 // holding at least one GPU ("holders") have genuinely time-dependent rho —
 // progress, stalls, and estimator noise move it every round — so they are
 // kept as a small ascending-id set, bounded by cluster capacity rather than
@@ -30,11 +34,12 @@
 // 1-f fraction instead of materializing the whole order.
 //
 // Membership is re-derived from AppState alone (Update is idempotent), so
-// every front-end hook simply calls Update(app) after mutating it. The
-// Simulator and server::ArbiterCore each own one RhoIndex and hand it to
-// policies through SchedulerContext::rho_index(); ThemisPolicy's filter
-// reads nothing else. The literal probe-everything filter survives only as
-// the test oracle in tests/filter_oracle.h.
+// every transition simply calls Update(app) after mutating it. ArbiterState
+// (sim/arbiter_state.h), shared by the Simulator and server::ArbiterCore,
+// owns the one RhoIndex, walks holders() to accrue progress, and hands the
+// index to policies through SchedulerContext::rho_index(); ThemisPolicy's
+// filter reads nothing else. The literal probe-everything filter survives
+// only as the test oracle in tests/filter_oracle.h.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +67,8 @@ class RhoIndex {
 
   /// Re-derive `app`'s class from its current state and move it between the
   /// holder / unbounded-candidate / absent sets as needed. Idempotent; call
-  /// after any mutation that can change gang holdings, demand, or liveness
-  /// (grant, release, kill, tuner step, arrival, finish). Classifying an
+  /// after any mutation that can change gang holdings or liveness (grant,
+  /// release, kill, arrival, finish). Classifying an
   /// active app as gangless also pins app->last_rho to kUnboundedRho — the
   /// value the probe would compute — so the merge comparator reads fresh
   /// floats without re-probing the class.
@@ -75,7 +80,8 @@ class RhoIndex {
   void SetTiebreak(bool short_app_tiebreak);
 
   /// Active apps holding at least one leased GPU, ascending AppId — the
-  /// re-probe set, bounded by cluster capacity. Probing these in order
+  /// re-probe set and the progress walk, bounded by cluster capacity.
+  /// Probing these in order
   /// reproduces the full scan's estimator-call sequence exactly: gangless
   /// apps contribute no estimator calls, so the full scan's sequence is
   /// precisely "holders, ascending id".

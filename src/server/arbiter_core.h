@@ -1,25 +1,27 @@
-// The ARBITER state machine behind themis_arbiterd (Sec. 5.1's central
-// resource allocator, run as a service instead of inside the simulator).
+// The ARBITER behind themis_arbiterd (Sec. 5.1's central resource
+// allocator, run as a service instead of inside the simulator).
 //
-// ArbiterCore owns the authoritative cluster + app state and advances a
-// *virtual* clock: round k runs at k * round_interval_minutes, independent
-// of wall time. Everything a policy reads — job progress, attained service,
-// rho inputs, the work estimator and its RNG stream — lives here, never
-// with the AGENTs (the paper's semi-trusted AGENT model: the ARBITER
-// corrects misreported bids anyway, so it keeps the authoritative copy).
-// A BID on the wire therefore only signals liveness and declared demand;
-// the auction runs against this state. That is what makes daemon-served
-// rounds bit-identical to driving the same core in-process: both paths are
-// the same BeginRound()/FinishRound() call sequence on the same state, and
-// the wire in between carries no float that feeds back into scheduling.
+// ArbiterCore is a fixed-interval clock around the ARBITER state it shares
+// with the simulator (sim/arbiter_state.h): round k runs at
+// k * round_interval_minutes of *virtual* time, independent of wall time.
+// Everything a policy reads — job progress, attained service, rho inputs,
+// the work estimator and its RNG stream — lives in that state, never with
+// the AGENTs (the paper's semi-trusted AGENT model: the ARBITER corrects
+// misreported bids anyway, so it keeps the authoritative copy). A BID on
+// the wire therefore only signals liveness and declared demand; the auction
+// runs against this state. That is what makes daemon-served rounds
+// bit-identical to driving the same core in-process: both paths are the
+// same BeginRound()/FinishRound() call sequence on the same state, and the
+// wire in between carries no float that feeds back into scheduling.
 //
 // One round is split in two so the daemon can fan out the offer and await
 // bids between the halves:
 //   BeginRound()  — advance the clock one interval, accrue progress for
-//                   lease holders, finish apps whose best model converged,
-//                   reclaim expired leases, step the per-app tuners, and
-//                   publish the ResourceOffer (if there is anything to
-//                   offer). No core mutation may happen between the halves.
+//                   lease holders, finish apps whose best model converged
+//                   by the boundary, reclaim expired leases, step the
+//                   tuners, and publish the ResourceOffer (if there is
+//                   anything to offer). No core mutation may happen
+//                   between the halves.
 //   FinishRound() — run the policy's RunRound over the offer, apply the
 //                   grants (binding leases), charge restart overheads to
 //                   every job whose gang changed (an intact renewal is
@@ -28,17 +30,13 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/rng.h"
-#include "core/rho_index.h"
 #include "core/themis_policy.h"
 #include "estimator/work_estimator.h"
 #include "net/wire.h"
+#include "sim/arbiter_state.h"
 #include "sim/experiment.h"
 #include "sim/state.h"
 
@@ -97,45 +95,19 @@ class ArbiterCore {
 
   Time now() const { return now_; }
   std::uint64_t rounds_run() const { return passes_; }
-  std::size_t apps_registered() const { return apps_.size(); }
-  std::size_t apps_active() const { return active_apps_.size(); }
-  std::size_t apps_finished() const { return finished_apps_; }
+  std::size_t apps_registered() const { return state_.num_apps(); }
+  std::size_t apps_active() const { return state_.active().size(); }
+  std::size_t apps_finished() const { return state_.finished_apps(); }
   const net::GrantDigest& digest() const { return digest_; }
-  const Cluster& cluster() const { return cluster_; }
-  const AppState* app(AppId id) const {
-    return id < apps_.size() ? apps_[id].get() : nullptr;
-  }
-
-  /// Declared whole-gang demand still unmet for an app (what an honest
-  /// AGENT would put in its BID). 0 for finished/unknown apps.
-  int UnmetDemand(AppId id) const;
+  const Cluster& cluster() const { return state_.cluster(); }
+  const AppState* app(AppId id) const { return state_.FindApp(id); }
 
  private:
-  AppState* FindApp(AppId id);
-  void ActivateApp(AppState* app);
-  void DeactivateApp(AppId id);
-  void UpdateHolding(AppState* app);
-  void KillJob(JobState& job);
-  void FinishApp(Time t, AppState& app);
-
   ArbiterConfig config_;
-  Cluster cluster_;
-  std::unique_ptr<IRoundScheduler> scheduler_;
-  WorkEstimator estimator_;
-  Rng rng_;
-  std::vector<std::unique_ptr<AppState>> apps_;
-  AppList active_apps_;
-  AppList holding_apps_;
-  RhoIndex rho_index_;
-  std::vector<JobView> views_scratch_;
-  /// Gangs as they stood before this round's lease reclamation, keyed by
-  /// (app, job); FinishRound charges restarts against them.
-  std::map<std::pair<AppId, JobId>, std::vector<GpuId>> reclaimed_before_;
+  ArbiterState state_;
   net::GrantDigest digest_;
   Time now_ = 0.0;
-  Time last_advance_ = 0.0;
   std::uint64_t passes_ = 0;
-  std::size_t finished_apps_ = 0;
   bool round_open_ = false;
 };
 

@@ -4,6 +4,11 @@
 
 namespace themis {
 
+bool JobState::ReachedTarget() const {
+  constexpr double kFinishEps = 1e-6;
+  return RemainingWork() <= kFinishEps + 1e-9 * spec.total_work;
+}
+
 double JobState::Rate(const Topology& topo) const {
   if (!Running()) return 0.0;
   // Gang scheduling: only whole task-gangs contribute useful work; stray

@@ -1,4 +1,5 @@
-// Runtime state of apps and jobs inside the event-driven simulator.
+// Runtime state of apps and jobs, as the ARBITER keeps it (sim/arbiter_state.h)
+// for both the simulator and the daemon.
 //
 // JobState tracks progress in serial GPU-minutes: a job holding GPU set G
 // with placement slowdown S progresses at rate |G| * S. AppState owns its
@@ -48,9 +49,9 @@ struct JobState {
 
   /// Per-epoch cache of the gang-derived constants (progress rate, gang
   /// speed sum). Within one allocation epoch the gang is fixed, so both
-  /// are fixed too: the event engine computes them once per epoch and
-  /// reuses them at every time advance, while the pass-stepped reference
-  /// re-derives them on each call exactly as the seed loop did. The cache
+  /// are fixed too: ArbiterState::Accrue (the event engine and the daemon)
+  /// computes them once per epoch and reuses them at every time advance,
+  /// while the pass-stepped reference re-derives them on each call. The cache
   /// holds the same pure functions of (gang, topology), so reuse is
   /// bitwise-neutral. Valid only between scheduling passes: a pass may
   /// mutate the gang before bumping alloc_version, so mid-pass readers
@@ -61,6 +62,9 @@ struct JobState {
 
   bool Running() const { return alive && !finished && !gpus.empty(); }
   Work RemainingWork() const { return std::max(0.0, spec.total_work - done); }
+  /// Remaining work is within float noise of zero: the job reached its
+  /// target accuracy.
+  bool ReachedTarget() const;
   double DoneIterations() const { return done / spec.WorkPerIteration(); }
   /// Progress rate |G| * S given the topology; 0 when not running.
   double Rate(const Topology& topo) const;
@@ -94,10 +98,10 @@ struct AppState {
   Summary placement_scores;
   /// Cached fairness estimate from the last ARBITER probe (diagnostics).
   double last_rho = kUnboundedRho;
-  /// Scratch for the simulator's event-driven core: set when this app's
-  /// tuner views may have changed since its last Step (arrival or progress).
+  /// Set when this app's tuner views may have changed since its last Step
+  /// (arrival or progress); ArbiterState steps only marked apps.
   bool tuner_dirty = false;
-  /// CapDemand() as of the last tuner step — the simulator's maintained
+  /// CapDemand() as of the last tuner step — ArbiterState's maintained
   /// contention sum is adjusted by deltas against this.
   long long cached_cap_demand = 0;
   /// Last held-GPU count recorded to the allocation timeline (-1 = never):

@@ -621,6 +621,37 @@ TEST(ArbiterCore, PartialExpiryShrinkIsCharged) {
   EXPECT_DOUBLE_EQ(core.app(a)->jobs[0].resume_at, 30.75);
 }
 
+// Every policy drains a core: each registered app converges. Apps register
+// three per round, as a live fleet trickles in, so leases expire and renew
+// while others arrive; a renewed gang must keep accruing progress.
+class ArbiterCoreDrain : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(ArbiterCoreDrain, EveryAppConverges) {
+  server::ArbiterConfig config;
+  config.policy = GetParam();
+  config.cluster = ClusterSpec::Uniform(2, 4, 4, 2);
+  server::ArbiterCore core(config);
+  const std::vector<AppSpec> apps = SampleApps(30, 8);
+  std::size_t next = 0;
+  while ((next < apps.size() || core.apps_active() > 0) &&
+         core.rounds_run() < 5000) {
+    for (int i = 0; i < 3 && next < apps.size(); ++i)
+      core.RegisterApp(apps[next++]);
+    core.RunOneRound();
+  }
+  EXPECT_EQ(core.apps_finished(), apps.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, ArbiterCoreDrain,
+                         ::testing::Values(PolicyKind::kThemis,
+                                           PolicyKind::kGandiva,
+                                           PolicyKind::kTiresias,
+                                           PolicyKind::kSlaq,
+                                           PolicyKind::kDrf),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param));
+                         });
+
 TEST(ArbiterCore, RejectsMutationMidRound) {
   server::ArbiterConfig config;
   config.cluster = ClusterSpec::Uniform(1, 2, 4, 2);

@@ -1,9 +1,13 @@
 // Tests for hyperopt/: HyperBand successive halving, HyperDrive
-// classification, and the tuner factory.
+// classification, the tuner factory, and the one-gang cap floor every tuner
+// keeps for the jobs it spares.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "hyperopt/hyperband.h"
 #include "hyperopt/hyperdrive.h"
 
@@ -249,6 +253,71 @@ TEST_P(HyperBandWidthTest, AlwaysConvergesToOneSurvivor) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, HyperBandWidthTest,
                          ::testing::Values(2, 3, 4, 7, 8, 16, 23, 31, 64, 98));
+
+// ArbiterState skips the rho-index update after a tuner step that kills
+// nothing (core/rho_index.h). That holds only while every tuner gives each
+// alive job it spares a cap of at least one gang: then a gangless app keeps
+// unmet demand and cannot leave the unbounded-candidate class. Random apps
+// and progress, stepped the way the ARBITER steps them (kills fed back).
+class TunerCaps : public ::testing::TestWithParam<TunerKind> {};
+
+TEST_P(TunerCaps, SpareEveryLiveJobOneGang) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    AppSpec app;
+    app.tuner = GetParam();
+    app.target_loss = rng.Uniform(0.05, 0.5);
+    const int n = app.tuner == TunerKind::kNone ? 1 : rng.UniformInt(1, 12);
+    for (int j = 0; j < n; ++j) {
+      JobSpec job;
+      job.num_tasks = rng.UniformInt(1, 4);
+      job.gpus_per_task = 1 << rng.UniformInt(0, 3);
+      job.total_iterations = rng.Uniform(50.0, 5000.0);
+      job.total_work = rng.Uniform(10.0, 1000.0);
+      const double decay = rng.Uniform(0.3, 1.2);
+      job.loss = LossCurve(
+          app.target_loss * std::pow(job.total_iterations + 1.0, decay), decay,
+          0.0);
+      app.jobs.push_back(job);
+    }
+    auto tuner = MakeAppScheduler(app);
+    tuner->Init(app);
+    std::vector<JobView> views = ViewsAt(app, 0.0);
+    for (int step = 0; step < 30; ++step) {
+      for (JobView& v : views) {
+        if (!v.alive || v.finished) continue;
+        v.done_iterations += rng.Uniform(0.0, v.spec->total_iterations / 8.0);
+        if (rng.NextDouble() < 0.03) v.finished = true;
+      }
+      const TunerDecision& d = tuner->Step(views, step);
+      std::vector<bool> killed(views.size(), false);
+      for (int k : d.kill) killed[k] = true;
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        if (!views[i].alive || views[i].finished || killed[i]) continue;
+        EXPECT_GE(d.parallelism_cap[i], views[i].spec->gpus_per_task)
+            << "seed " << seed << " step " << step << " job " << i;
+        EXPECT_LE(d.parallelism_cap[i], views[i].spec->MaxParallelism());
+      }
+      for (int k : d.kill) views[k].alive = false;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTuners, TunerCaps,
+    ::testing::Values(TunerKind::kNone, TunerKind::kHyperBand,
+                      TunerKind::kHyperDrive),
+    [](const ::testing::TestParamInfo<TunerKind>& info) {
+      switch (info.param) {
+        case TunerKind::kNone:
+          return std::string("SingleJob");
+        case TunerKind::kHyperBand:
+          return std::string("HyperBand");
+        case TunerKind::kHyperDrive:
+          return std::string("HyperDrive");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace themis

@@ -1,5 +1,5 @@
-// One ARBITER round driven the way Simulator::SchedulingPass and
-// server::ArbiterCore::FinishRound drive it, for tests and benches that
+// One ARBITER round driven the way ArbiterState::RunRound drives it for
+// the simulator and the daemon, for tests and benches that
 // build their worlds by hand: publish the cluster's free pool as an offer,
 // run the scheduler against a context carrying a maintained RhoIndex,
 // lease the grants through ApplyGrants, and re-classify every granted app.
